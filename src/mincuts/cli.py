@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .corpus import CorpusSpec, run_corpus
 from .enumeration import (
@@ -33,13 +34,14 @@ from .enumeration import (
 from .graph import (
     Graph,
     GraphError,
+    NodeSet,
     build_graph,
     cut_edges,
     format_cut,
     format_node_set,
     prune_irrelevant,
 )
-from .oracle import OracleResult, TooLarge, brute_force_mcvs, diff
+from .oracle import DiffReport, OracleResult, TooLarge, brute_force_mcvs, diff
 
 __all__ = ["ParseError", "RunConfig", "UsageError", "main", "parse_edge_list", "run"]
 
@@ -142,7 +144,7 @@ class _SinkRun:
     pruned_labels: tuple[str, ...]
     report: EnumerationReport | None
     oracle: OracleResult | None
-    comparison: object | None  # DiffReport
+    comparison: DiffReport | None
     exit_code: int
 
 
@@ -209,18 +211,12 @@ def _execute(
     return _SinkRun(g, pruned_labels, report, oracle, comparison, code)
 
 
-def _mcv_rows(run: _SinkRun) -> list[tuple[frozenset, frozenset]]:
-    """(node set, cut) rows in report order, or canonical order for the oracle."""
+def _mcv_sets(run: _SinkRun) -> Sequence[NodeSet]:
+    """Node sets in report order, or canonical order for the oracle."""
     if run.report is not None:
-        return list(zip(run.report.mcvs, run.report.cuts))
+        return run.report.mcvs
     assert run.oracle is not None
-    rows = [(u, c) for u, c in zip(*_sorted_oracle(run.graph, run.oracle))]
-    return rows
-
-
-def _sorted_oracle(g: Graph, oracle: OracleResult):
-    mcvs = sorted(oracle.mcvs, key=lambda u: _labels_sorted(g, u))
-    return mcvs, [cut_edges(g, u) for u in mcvs]
+    return sorted(run.oracle.mcvs, key=lambda u: _labels_sorted(run.graph, u))
 
 
 def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
@@ -254,12 +250,12 @@ def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
     if run.report is not None:
         print(f"status: {run.report.status.value}", file=out)
 
-    rows = _mcv_rows(run)
-    print(f"mcvs ({len(rows)}):", file=out)
-    for u, cut in rows:
+    sets = _mcv_sets(run)
+    print(f"mcvs ({len(sets)}):", file=out)
+    for u in sets:
         line = f"  {format_node_set(g, u)}"
         if config.emit_cuts:
-            line += f"  cut {format_cut(g, cut)}"
+            line += f"  cut {format_cut(g, cut_edges(g, u))}"
         print(line, file=out)
 
     if run.report is not None:
@@ -293,9 +289,10 @@ def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
                     print(f"  {name}: {format_node_set(g, u)}", file=out)
 
 
-def _json_payload(run: _SinkRun, config: RunConfig) -> dict:
+def _json_fields(run: _SinkRun, config: RunConfig) -> dict:
+    """Every top-level key of a run's JSON object except ``mcvs`` and ``cuts``."""
     g = run.graph
-    payload: dict = {
+    fields: dict = {
         "graph": {
             "nodes": list(g.node_names),
             "edges": _edge_labels_sorted(g, g.edges),
@@ -308,21 +305,18 @@ def _json_payload(run: _SinkRun, config: RunConfig) -> dict:
             "options": _options_json(config),
         },
     }
-    rows = _mcv_rows(run)
-    payload["mcvs"] = [_labels_sorted(g, u) for u, _ in rows]
-    payload["cuts"] = [_edge_labels_sorted(g, cut) for _, cut in rows]
     if run.report is not None:
         st = run.report.stats
-        payload["stats"] = {
+        fields["stats"] = {
             "step1_visits": st.step1_visits,
             "connectivity_checks": st.connectivity_checks,
             "backtracks": st.backtracks,
             "records": st.records,
             "steps": st.steps,
         }
-        payload["status"] = run.report.status.value
+        fields["status"] = run.report.status.value
         if config.trace:
-            payload["trace"] = [
+            fields["trace"] = [
                 {
                     "step": ev.step.value,
                     "prefix": [g.node_names[v] for v in ev.prefix],
@@ -332,10 +326,10 @@ def _json_payload(run: _SinkRun, config: RunConfig) -> dict:
                 for ev in run.report.trace
             ]
     else:
-        payload["stats"] = {"subsets_scanned": 1 << (g.node_count - 2)}
-        payload["status"] = "completed"
+        fields["stats"] = {"subsets_scanned": 1 << (g.node_count - 2)}
+        fields["status"] = "completed"
     if run.comparison is not None:
-        payload["diff"] = {
+        fields["diff"] = {
             "agree": run.comparison.agree,
             "missing": sorted(
                 _labels_sorted(g, u) for u in run.comparison.missing
@@ -347,7 +341,7 @@ def _json_payload(run: _SinkRun, config: RunConfig) -> dict:
                 _labels_sorted(g, u) for u in run.comparison.invalid
             ),
         }
-    return payload
+    return fields
 
 
 def _options_json(config: RunConfig) -> dict:
@@ -360,12 +354,100 @@ def _options_json(config: RunConfig) -> dict:
     return options
 
 
-def canonical_json(payload: dict) -> str:
-    """Stable serialization: sorted keys, two-space indent, trailing newline.
+def _indent(level: int) -> str:
+    return "\n" + "  " * level
 
-    Re-serializing ``json.loads`` of the output reproduces it byte for byte.
+
+class _RowFragments:
+    """One graph's node labels and edges, pre-rendered as JSON at row depth.
+
+    An ``mcvs`` row is the join of the fragments of the nodes in its set, a
+    ``cuts`` row the join of the fragments of the edges with exactly one end
+    in it. Fragments are ranked by label and by sorted label pair, so each
+    row comes out sorted as ``json.dumps`` of the sorted label lists would.
     """
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def __init__(self, g: Graph, level: int) -> None:
+        """``level`` is the nesting level of the rows themselves."""
+        names = g.node_names
+        label = [encode_basestring_ascii(x) for x in names]
+        item, inner = _indent(level + 1), _indent(level + 2)
+        by_label = sorted(range(len(names)), key=names.__getitem__)
+        self._nodes = [(v, item + label[v]) for v in by_label]
+        ends = sorted(
+            (sorted(e, key=names.__getitem__) for e in g.edges),
+            key=lambda e: (names[e[0]], names[e[1]]),
+        )
+        self._edges = [
+            (u, v, f"{item}[{inner}{label[u]},{inner}{label[v]}{item}]")
+            for u, v in ends
+        ]
+        self._close = _indent(level) + "]"
+
+    def _row(self, fragments: list[str]) -> str:
+        return "[" + ",".join(fragments) + self._close if fragments else "[]"
+
+    def mcv(self, u: NodeSet) -> str:
+        return self._row([frag for v, frag in self._nodes if v in u])
+
+    def cut(self, u: NodeSet) -> str:
+        return self._row([frag for a, b, frag in self._edges if (a in u) != (b in u)])
+
+
+def _json_array(items: Iterable[Iterable[str]], level: int) -> Iterator[str]:
+    """A JSON array at nesting ``level``; each item is the chunks of one
+    element rendered a level deeper."""
+    opener, pad = "[", _indent(level + 1)
+    for chunks in items:
+        yield opener + pad
+        yield from chunks
+        opener = ","
+    yield "[]" if opener == "[" else _indent(level) + "]"
+
+
+def _run_json(run: _SinkRun, config: RunConfig, level: int) -> Iterator[str]:
+    """One run's JSON object at nesting ``level``, as a stream of chunks:
+    one per ``mcvs`` and ``cuts`` row, one per other key.
+
+    The small keys go through ``json.dumps`` with every newline shifted to
+    the key's depth (a JSON string never holds a raw newline); the ``mcvs``
+    and ``cuts`` rows are joined from :class:`_RowFragments`.
+    """
+    fields = _json_fields(run, config)
+    sets = _mcv_sets(run)
+    rows = _RowFragments(run.graph, level + 2)
+    streamed = {
+        "mcvs": ([rows.mcv(u)] for u in sets),
+        "cuts": ([rows.cut(u)] for u in sets),
+    }
+    opener, pad = "{", _indent(level + 1)
+    for key in sorted([*fields, *streamed]):
+        yield f'{opener}{pad}"{key}": '
+        if key in streamed:
+            yield from _json_array(streamed[key], level + 1)
+        else:
+            yield json.dumps(fields[key], sort_keys=True, indent=2).replace("\n", pad)
+        opener = ","
+    yield _indent(level) + "}"
+
+
+def canonical_json(runs: Sequence[_SinkRun], config: RunConfig, out: TextIO) -> None:
+    """Write the runs' canonical JSON to ``out``, row by row.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)``
+    plus a trailing newline, where ``payload`` is the single run's object,
+    or ``{"runs": [...]}`` under ``--all-sinks``; re-serializing
+    ``json.loads`` of the output reproduces it byte for byte. Rows are
+    rendered one at a time, so neither the row lists nor the document are
+    ever held whole.
+    """
+    if config.all_sinks:
+        out.write('{\n  "runs": ')
+        out.writelines(_json_array((_run_json(r, config, 2) for r in runs), 1))
+        out.write("\n}\n")
+    else:
+        out.writelines(_run_json(runs[0], config, 0))
+        out.write("\n")
 
 
 def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None) -> int:
@@ -374,11 +456,11 @@ def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None)
     err = err if err is not None else sys.stderr
     try:
         _validate(config)
-        text = Path(config.input_path).read_text()
+        text = Path(config.input_path).read_text(encoding="utf-8")
     except UsageError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {config.input_path}: {exc}", file=err)
         return EXIT_USAGE
 
@@ -409,11 +491,7 @@ def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None)
         return EXIT_USAGE
 
     if config.output_format == "json":
-        if config.all_sinks:
-            payload = {"runs": [_json_payload(r, config) for r in runs]}
-        else:
-            payload = _json_payload(runs[0], config)
-        out.write(canonical_json(payload))
+        canonical_json(runs, config, out)
     else:
         for i, r in enumerate(runs):
             if config.all_sinks:

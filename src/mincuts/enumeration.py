@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Literal, Union
 
 from .graph import Cut, Graph, NodeSet, _bits, _connected_mask, cut_edges
@@ -187,20 +188,25 @@ class YehPolicy:
 
 @dataclass(frozen=True)
 class EnumerationReport:
-    """Outcome of one enumeration run.
+    """Outcome of one enumeration run on ``graph``.
 
     ``mcvs`` lists recorded node sets in discovery order and ``cuts`` their
-    crossing-edge sets, index-parallel. The replica can record sets that
-    are not actually cut-generating (that is one of its defects); the
-    corrected engine's output is sound whenever the input graph has no
-    nodes off every source-sink path.
+    crossing-edge sets, index-parallel; the cuts are computed on first
+    access. The replica can record sets that are not actually
+    cut-generating (that is one of its defects); the corrected engine's
+    output is sound whenever the input graph has no nodes off every
+    source-sink path.
     """
 
     mcvs: tuple[NodeSet, ...]
-    cuts: tuple[Cut, ...]
     trace: tuple[TraceEvent, ...]
     stats: RunStats
     status: RunStatus
+    graph: Graph
+
+    @cached_property
+    def cuts(self) -> tuple[Cut, ...]:
+        return tuple(cut_edges(self.graph, u) for u in self.mcvs)
 
 
 class _State:
@@ -266,10 +272,10 @@ class _State:
     def report(self, status: RunStatus) -> EnumerationReport:
         return EnumerationReport(
             mcvs=tuple(self.found),
-            cuts=tuple(cut_edges(self.g, u) for u in self.found),
             trace=tuple(self.trace),
             stats=self.stats,
             status=status,
+            graph=self.g,
         )
 
 

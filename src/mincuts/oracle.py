@@ -8,6 +8,7 @@ is meaningful evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .enumeration import EnumerationReport
 from .graph import Cut, Graph, NodeSet, _bits, _is_mcv_mask, cut_edges, is_mcv
@@ -31,8 +32,15 @@ class TooLarge(ValueError):
 
 @dataclass(frozen=True)
 class OracleResult:
+    """Every cut-generating node set of ``graph``; ``cuts`` holds their
+    crossing-edge sets and is computed on first access."""
+
     mcvs: frozenset[NodeSet]
-    cuts: frozenset[Cut]
+    graph: Graph
+
+    @cached_property
+    def cuts(self) -> frozenset[Cut]:
+        return frozenset(cut_edges(self.graph, u) for u in self.mcvs)
 
 
 def brute_force_mcvs(g: Graph) -> OracleResult:
@@ -59,10 +67,7 @@ def brute_force_mcvs(g: Graph) -> OracleResult:
             m |= 1 << free[low.bit_length() - 1]
         if _is_mcv_mask(g, m):
             mcvs.append(frozenset(_bits(m)))
-    return OracleResult(
-        mcvs=frozenset(mcvs),
-        cuts=frozenset(cut_edges(g, u) for u in mcvs),
-    )
+    return OracleResult(mcvs=frozenset(mcvs), graph=g)
 
 
 @dataclass(frozen=True)

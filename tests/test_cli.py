@@ -6,7 +6,19 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import mincuts.cli
+import mincuts.enumeration
+import mincuts.oracle
+from mincuts import (
+    brute_force_mcvs,
+    build_graph,
+    cut_edges,
+    enumerate_mcvs,
+    prune_irrelevant,
+)
 from mincuts.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -155,6 +167,91 @@ class TestRunJson:
         assert len(payload["mcvs"]) == 9
         assert payload["stats"] == {"subsets_scanned": 16}
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(output_format="json", emit_cuts=True, compare_oracle=True),
+            dict(output_format="json", algorithm="oracle"),
+            dict(output_format="json", all_sinks=True),
+            dict(compare_oracle=True),
+        ],
+    )
+    def test_builds_no_cut_objects(self, monkeypatch, options):
+        # JSON cut rows come from pre-rendered edges; text without
+        # --emit-cuts never reads a cut.
+        def refuse(*args):
+            raise AssertionError("cut_edges called")
+
+        for module in (mincuts.cli, mincuts.enumeration, mincuts.oracle):
+            monkeypatch.setattr(module, "cut_edges", refuse)
+        code, out, _ = _run(RunConfig(str(FIXTURES / "fig1.edges"), **options))
+        assert code == EXIT_OK
+        assert "s" in out
+
+
+# Labels that JSON must escape, that are not ASCII, or whose string order
+# differs from their first-appearance (index) order.
+_LABELS = st.one_of(
+    st.sampled_from(['"', "\\", 'a"b', "c\\d", "é", "日本", "\x7f", "9", "10"]),
+    st.integers(0, 30).map(str),
+    st.text(st.characters(whitelist_categories=("L", "N", "P", "S")),
+            min_size=1, max_size=3),
+).filter(lambda x: not x.startswith("#"))
+
+
+@st.composite
+def _awkward_graphs(draw):
+    """(source, sink, edges): a random spanning tree plus a few chords."""
+    labels = draw(st.lists(_LABELS, min_size=3, max_size=7, unique=True))
+    edges = [(x, labels[draw(st.integers(0, i))]) for i, x in enumerate(labels[1:])]
+    chords = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    edges += [(a, b) for a, b in draw(st.lists(chords, max_size=6)) if a != b]
+    return labels[0], labels[1], edges
+
+
+def _label_rows(g, sets, cuts):
+    names = g.node_names
+    return (
+        [sorted(names[v] for v in u) for u in sets],
+        [sorted(sorted([names[a], names[b]]) for a, b in cut) for cut in cuts],
+    )
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    graph=_awkward_graphs(),
+    all_sinks=st.booleans(),
+    algorithm=st.sampled_from(["corrected", "oracle"]),
+)
+def test_awkward_labels_stream_canonical_json(tmp_path, graph, all_sinks, algorithm):
+    source, sink, edges = graph
+    path = tmp_path / "awkward.edges"
+    path.write_text("".join(f"{a} {b}\n" for a, b in edges), encoding="utf-8")
+    config = RunConfig(str(path), source=source, sink=sink, algorithm=algorithm,
+                       all_sinks=all_sinks, output_format="json")
+    code, out, _ = _run(config)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    if all_sinks:
+        sinks = [x for x in dict.fromkeys(x for e in edges for x in e) if x != source]
+        runs = payload["runs"]
+    else:
+        sinks, runs = [sink], [payload]
+    assert len(runs) == len(sinks)
+    for sink, got in zip(sinks, runs):
+        g = prune_irrelevant(build_graph(edges, source, sink)).pruned_graph
+        if algorithm == "oracle":
+            sets = sorted(brute_force_mcvs(g).mcvs,
+                          key=lambda u: sorted(g.node_names[v] for v in u))
+            cuts = [cut_edges(g, u) for u in sets]
+        else:
+            report = enumerate_mcvs(g)
+            sets, cuts = report.mcvs, report.cuts
+        assert (got["mcvs"], got["cuts"]) == _label_rows(g, sets, cuts)
+
 
 class TestYehRuns:
     def test_goto_step4_banner_and_exit_zero(self):
@@ -264,6 +361,14 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "cannot read" in err
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.edges"
+        path.write_bytes(b"s \xff\n\xff t\n")
+        code, out, err = _run(RunConfig(str(path)))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"error: cannot read {path}:" in err
+
     def test_bad_order_spec(self):
         config = RunConfig(str(FIXTURES / "fig1.edges"), order="sideways")
         code, _, err = _run(config)
@@ -342,6 +447,12 @@ class TestMain:
         code = main(["run", str(FIXTURES / "fig1.edges"), "--algorithm", "nonsense"])
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_file_names_it(self, tmp_path, capsys):
+        path = tmp_path / "latin1.edges"
+        path.write_bytes(b"s \xff\n\xff t\n")
+        assert main(["run", str(path)]) == EXIT_USAGE
+        assert f"error: cannot read {path}:" in capsys.readouterr().err
 
     def test_k4_fixture(self, capsys):
         code = main(["run", str(FIXTURES / "k4.edges")])

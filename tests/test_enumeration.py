@@ -139,6 +139,8 @@ class TestInvariants:
 
     def test_cuts_parallel_to_mcvs(self, fig1):
         report = enumerate_mcvs(fig1)
+        assert report.graph is fig1
+        assert "cuts" not in vars(report)  # built on first read only
         assert len(report.cuts) == len(report.mcvs)
         for u, cut in zip(report.mcvs, report.cuts):
             assert boundary_nodes(fig1, u) == frozenset(

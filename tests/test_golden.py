@@ -32,7 +32,9 @@ VARIANTS = {
     "no-prune": ("--no-prune",),
 }
 YEH_STEP3 = (
-    "--algorithm", "yeh-original", "--yeh-policy", "goto-step3", "--order", "script:1,3",
+    "--algorithm", "yeh-original",
+    "--yeh-policy", "goto-step3",
+    "--order", "script:1,3",
 )
 
 # (fixture, variant name, flags, exit code)

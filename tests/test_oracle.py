@@ -9,6 +9,7 @@ from mincuts import (
     ScriptedOrder,
     YehPolicy,
     build_graph,
+    cut_edges,
     enumerate_mcvs,
     run_yeh_original,
 )
@@ -52,6 +53,8 @@ class TestBruteForce:
 
     def test_cut_bijection(self, fig1):
         result = brute_force_mcvs(fig1)
+        assert "cuts" not in vars(result)  # built on first read only
+        assert result.cuts == frozenset(cut_edges(fig1, u) for u in result.mcvs)
         assert len(result.cuts) == len(result.mcvs)
 
     def test_cuts_are_minimal(self, fig1):
