@@ -14,7 +14,6 @@ from .corpus import (
     CorpusRunResult,
     CorpusSpec,
     corpus_entries,
-    generate_corpus,
     run_corpus,
     shrink_counterexample,
 )
@@ -51,7 +50,6 @@ from .graph import (
     cut_edges,
     format_cut,
     format_node_set,
-    is_adjacent_to_set,
     is_connected,
     is_mcv,
     prune_irrelevant,
@@ -107,8 +105,6 @@ __all__ = [
     "enumerate_mcvs",
     "format_cut",
     "format_node_set",
-    "generate_corpus",
-    "is_adjacent_to_set",
     "is_connected",
     "is_mcv",
     "prune_irrelevant",

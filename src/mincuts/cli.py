@@ -477,6 +477,10 @@ def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None)
         if config.all_sinks:
             ordered_labels = list(dict.fromkeys(x for pair in pairs for x in pair))
             sinks = [x for x in ordered_labels if x != source]
+            if not sinks:
+                raise UsageError(
+                    f"--all-sinks: no node other than the source {source!r}"
+                )
         else:
             sink = config.sink
             if sink is None:

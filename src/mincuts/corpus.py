@@ -27,7 +27,6 @@ __all__ = [
     "CorpusRunResult",
     "CorpusSpec",
     "corpus_entries",
-    "generate_corpus",
     "run_corpus",
     "shrink_counterexample",
 ]
@@ -110,10 +109,6 @@ def corpus_entries(spec: CorpusSpec) -> list[CorpusEntry]:
             g = prune_irrelevant(g).pruned_graph
         entries.append(CorpusEntry(index, graph_seed, g))
     return entries
-
-
-def generate_corpus(spec: CorpusSpec) -> list[Graph]:
-    return [entry.graph for entry in corpus_entries(spec)]
 
 
 def _edge_label_pairs(g: Graph) -> list[tuple[str, str]]:

@@ -223,7 +223,6 @@ class _State:
         self.stack_mask: int = 1 << g.source
         self.rest_mask: int = g.full_mask & ~self.stack_mask
         self.excluded: list[int] = [1 << g.sink]
-        self.level: int = 0
         self.found: list[NodeSet] = []
         self.stats = RunStats()
         self.trace: list[TraceEvent] = []
@@ -253,7 +252,6 @@ class _State:
         self.stack_mask |= 1 << v
         self.rest_mask &= ~(1 << v)
         self.excluded.append(self.excluded[-1])
-        self.level += 1
 
     def record(self) -> None:
         self.found.append(frozenset(self.stack))
@@ -266,7 +264,6 @@ class _State:
         self.rest_mask |= 1 << u
         self.excluded.pop()
         self.excluded[-1] |= 1 << u
-        self.level -= 1
         return u
 
     def report(self, status: RunStatus) -> EnumerationReport:
@@ -354,7 +351,7 @@ def enumerate_mcvs(
             st.emit(TraceStep.STEP1_EXHAUSTED, None, st.raw_candidates(blocked))
             # Step 4: stop at the root, otherwise back out one level.
             st.stats.steps += 1
-            if st.level == 0:
+            if len(st.stack) == 1:
                 st.emit(TraceStep.STOP)
                 return st.report(RunStatus.COMPLETED)
             u = st.backtrack()
@@ -444,7 +441,7 @@ def run_yeh_original(
         # Step 4 with the original early stopping rule (level 1, not 0).
         if not spend():
             return st.report(RunStatus.STEP_LIMIT_EXCEEDED)
-        if st.level <= 1:
+        if len(st.stack) <= 2:
             st.emit(TraceStep.STOP)
             return st.report(RunStatus.COMPLETED)
         u = st.backtrack()

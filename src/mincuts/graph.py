@@ -9,12 +9,9 @@ brute-force oracle, the corpus runner) fast without any native code.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
-
-import networkx as nx
 
 NodeSet = frozenset[int]
 Edge = tuple[int, int]  # normalized: smaller index first
@@ -37,7 +34,6 @@ __all__ = [
     "cut_edges",
     "format_cut",
     "format_node_set",
-    "is_adjacent_to_set",
     "is_connected",
     "is_mcv",
     "prune_irrelevant",
@@ -117,9 +113,8 @@ class Graph:
     source: int
     sink: int
     edges: frozenset[Edge]
-    # (edge, input multiplicity) for edges that appeared more than once, so
-    # callers can post-adjust cut cardinalities for merged parallel edges.
-    merged_multiplicities: tuple[tuple[Edge, int], ...] = ()
+    # How many duplicate input edges were dropped when merging parallels.
+    parallel_edges_merged: int = 0
 
     @property
     def node_count(self) -> int:
@@ -128,10 +123,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @property
-    def parallel_edges_merged(self) -> int:
-        return sum(count - 1 for _, count in self.merged_multiplicities)
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
@@ -193,7 +184,7 @@ def build_graph(
 
     Labels get dense indices in order of first appearance, which makes the
     numbering deterministic for a fixed input. Parallel edges are merged
-    (with multiplicities recorded on the graph); self-loops are rejected
+    (the number dropped is recorded on the graph); self-loops are rejected
     rather than dropped, so dirty inputs must be cleaned explicitly.
 
     Raises:
@@ -219,14 +210,13 @@ def build_graph(
         if label not in index:
             raise UnknownNode(f"node {label!r} does not appear in the edge list")
 
-    counts = Counter(pairs)
-    merged = tuple(sorted((e, c) for e, c in counts.items() if c > 1))
+    edges = frozenset(pairs)
     graph = Graph(
         node_names=tuple(index),
         source=index[source_label],
         sink=index[sink_label],
-        edges=frozenset(counts),
-        merged_multiplicities=merged,
+        edges=edges,
+        parallel_edges_merged=len(pairs) - len(edges),
     )
     if not _connected_mask(graph.adjacency_masks, graph.full_mask):
         raise DisconnectedInput("input graph is not connected")
@@ -239,11 +229,6 @@ def is_connected(g: Graph, nodes: Iterable[int]) -> bool:
     The empty set and singletons are connected by convention.
     """
     return _connected_mask(g.adjacency_masks, _mask(nodes))
-
-
-def is_adjacent_to_set(g: Graph, node: int, nodes: Iterable[int]) -> bool:
-    """True iff some edge joins ``node`` to a member of ``nodes``."""
-    return bool(g.adjacency_masks[node] & _mask(nodes))
 
 
 def cut_edges(g: Graph, nodes: Iterable[int]) -> Cut:
@@ -298,39 +283,57 @@ class PruneReport:
 def prune_irrelevant(g: Graph) -> PruneReport:
     """Remove every node that lies on no simple source-sink path.
 
-    A node survives iff it sits in a biconnected block on the block-cut-tree
-    path between source and sink; equivalently, in the block containing the
-    (possibly virtual) source-sink edge. Removing the others preserves the
-    family of minimal s-t cuts as edge sets. Idempotent: pruning a pruned
-    graph removes nothing. Source and sink always survive.
+    Those nodes are exactly the ones outside the biconnected block of the
+    (possibly virtual) source-sink edge. One iterative depth-first search
+    from the source, entering the sink first, computes discovery times and
+    lowpoints; then, in preorder, a node ``w`` other than source and sink
+    is kept iff its DFS parent ``p`` is kept and ``low[w] < disc[p]``.
+    Removing the others preserves the family of minimal s-t cuts as edge
+    sets. Idempotent: pruning a pruned graph removes nothing. Source and
+    sink always survive.
     """
-    h = nx.Graph()
-    h.add_nodes_from(range(g.node_count))
-    h.add_edges_from(g.edges)
-    st = (min(g.source, g.sink), max(g.source, g.sink))
-    if st not in g.edges:
-        h.add_edge(*st)  # virtual edge: fuses the source-sink block path into one block
+    s, t = g.source, g.sink
+    # The source is its own parent, so popping it needs no special case.
+    disc, low, parent = [-1] * g.node_count, [0] * g.node_count, [s] * g.node_count
+    disc[s] = 0
+    order: list[int] = []
+    # Unexplored edges per node. The source's only one is the (possibly
+    # virtual) edge to the sink: its other edges are back edges from the
+    # sink's subtree or lead into other blocks.
+    todo = list(g.adjacency_masks)
+    todo[s] = 1 << t
+    stack = [s]
+    while stack:
+        v = stack[-1]
+        if not todo[v]:
+            stack.pop()
+            low[parent[v]] = min(low[parent[v]], low[v])
+            continue
+        w = (todo[v] & -todo[v]).bit_length() - 1
+        todo[v] &= todo[v] - 1
+        if disc[w] >= 0:
+            low[v] = min(low[v], disc[w])
+        else:
+            order.append(w)
+            disc[w] = low[w] = len(order)
+            parent[w] = v
+            todo[w] &= ~(1 << v)
+            stack.append(w)
 
-    relevant: set[int] = {g.source, g.sink}
-    for block in nx.biconnected_components(h):
-        if g.source in block and g.sink in block:
-            relevant = block
-            break
-
-    removed_nodes = g.all_nodes - relevant
+    keep = (1 << s) | (1 << t)
+    for w in order:
+        if (keep >> parent[w]) & 1 and low[w] < disc[parent[w]]:
+            keep |= 1 << w
+    removed_nodes = frozenset(_bits(g.full_mask & ~keep))
     if not removed_nodes:
-        return PruneReport(frozenset(), frozenset(), g)
+        return PruneReport(removed_nodes, frozenset(), g)
 
     removed_edges = frozenset(
-        e for e in g.edges if e[0] in removed_nodes or e[1] in removed_nodes
+        e for e in g.edges if not (keep >> e[0]) & (keep >> e[1]) & 1
     )
-    surviving = sorted(g.edges - removed_edges)
-    pruned = build_graph(
-        [(g.node_names[u], g.node_names[v]) for u, v in surviving],
-        g.node_names[g.source],
-        g.node_names[g.sink],
-    )
-    return PruneReport(frozenset(removed_nodes), removed_edges, pruned)
+    surviving = [g.label_set(e) for e in sorted(g.edges - removed_edges)]
+    pruned = build_graph(surviving, g.label_of(s), g.label_of(t))
+    return PruneReport(removed_nodes, removed_edges, pruned)
 
 
 def format_node_set(g: Graph, nodes: Iterable[int]) -> str:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -336,6 +339,25 @@ class TestAllSinks:
         payload = json.loads(out)
         assert [r["graph"]["sink"] for r in payload["runs"]] == ["1", "t"]
 
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_source_only_file_exits_one_before_output(self, tmp_path, output_format):
+        path = tmp_path / "source-only.edges"
+        path.write_text("s s\n")
+        config = RunConfig(str(path), all_sinks=True, output_format=output_format)
+        code, out, err = _run(config)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--all-sinks" in err
+
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_source_only_file_via_main(self, tmp_path, capsys, output_format):
+        path = tmp_path / "source-only.edges"
+        path.write_text("s s\n")
+        argv = ["run", str(path), "--all-sinks", "--format", output_format]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--all-sinks" in captured.err
+
 
 class TestUsageErrors:
     def test_yeh_policy_required(self):
@@ -458,3 +480,21 @@ class TestMain:
         code = main(["run", str(FIXTURES / "k4.edges")])
         assert code == EXIT_OK
         assert "mcvs (4):" in capsys.readouterr().out
+
+
+def test_cli_run_imports_no_networkx():
+    # The package has no runtime dependencies; keep it that way.
+    script = (
+        "import sys, mincuts.cli\n"
+        f"code = mincuts.cli.main(['run', {str(FIXTURES / 'fig1.edges')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'networkx' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(mincuts.cli.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert "mcvs (9):" in result.stdout

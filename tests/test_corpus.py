@@ -9,7 +9,6 @@ from mincuts.cli import parse_edge_list
 from mincuts.corpus import (
     CorpusSpec,
     corpus_entries,
-    generate_corpus,
     run_corpus,
     shrink_counterexample,
 )
@@ -36,8 +35,8 @@ class TestSpecValidation:
 class TestGeneration:
     def test_deterministic_for_fixed_seed(self):
         spec = CorpusSpec(graph_count=10, min_nodes=4, max_nodes=6, seed=7)
-        first = generate_corpus(spec)
-        second = generate_corpus(spec)
+        first = [e.graph for e in corpus_entries(spec)]
+        second = [e.graph for e in corpus_entries(spec)]
         assert [g.edges for g in first] == [g.edges for g in second]
         assert [g.node_names for g in first] == [g.node_names for g in second]
 
@@ -45,19 +44,19 @@ class TestGeneration:
         spec = CorpusSpec(
             graph_count=5, min_nodes=5, max_nodes=5, edge_probability=1.0, seed=3
         )
-        for g in generate_corpus(spec):
+        for g in [e.graph for e in corpus_entries(spec)]:
             assert g.edge_count == 5 * 4 // 2
 
     def test_all_graphs_connected_and_labeled(self):
         spec = CorpusSpec(graph_count=50, min_nodes=4, max_nodes=10, seed=42)
-        for g in generate_corpus(spec):
+        for g in [e.graph for e in corpus_entries(spec)]:
             assert is_connected(g, g.all_nodes)
             assert g.node_names[g.source] == "s"
             assert g.node_names[g.sink] == "t"
 
     def test_pruned_corpus_has_no_irrelevant_nodes(self):
         spec = CorpusSpec(graph_count=50, min_nodes=4, max_nodes=10, seed=9)
-        for g in generate_corpus(spec):
+        for g in [e.graph for e in corpus_entries(spec)]:
             assert prune_irrelevant(g).removed_nodes == frozenset()
 
     def test_per_graph_seeds_regenerate(self):
