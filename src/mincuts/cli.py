@@ -19,6 +19,8 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from .corpus import CorpusSpec, run_corpus
 from .enumeration import (
+    B_POLICIES,
+    YEH_POLICIES,
     AscendingOrder,
     EnumerationOptions,
     EnumerationReport,
@@ -27,13 +29,13 @@ from .enumeration import (
     RunStatus,
     ScriptedOrder,
     SelectionOrder,
+    TraceEvent,
     YehPolicy,
     enumerate_mcvs,
     run_yeh_original,
 )
 from .graph import (
     Graph,
-    GraphError,
     NodeSet,
     build_graph,
     cut_edges,
@@ -41,7 +43,7 @@ from .graph import (
     format_node_set,
     prune_irrelevant,
 )
-from .oracle import DiffReport, OracleResult, TooLarge, brute_force_mcvs, diff
+from .oracle import DiffReport, OracleResult, brute_force_mcvs, diff
 
 __all__ = ["ParseError", "RunConfig", "UsageError", "main", "parse_edge_list", "run"]
 
@@ -49,6 +51,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_STEP_LIMIT = 3
+
+ALGORITHMS = ("corrected", "yeh-original", "oracle")
+FORMATS = ("text", "json")
 
 
 class ParseError(ValueError):
@@ -83,13 +88,13 @@ class RunConfig:
     input_path: str
     source: str | None = None
     sink: str | None = None
-    algorithm: str = "corrected"  # corrected | yeh-original | oracle
+    algorithm: str = "corrected"
     yeh_policy: str | None = None
     order: str = "ascending"
     b_policy: str = "scoped"
     prune: bool = True
     compare_oracle: bool = False
-    output_format: str = "text"  # text | json
+    output_format: str = "text"
     emit_cuts: bool = False
     all_sinks: bool = False
     step_limit: int | None = None
@@ -97,8 +102,14 @@ class RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
-    if config.algorithm not in ("corrected", "yeh-original", "oracle"):
+    """Checks argparse cannot make: library callers skip its ``choices``,
+    and the Yeh options depend on the algorithm. The policy values are
+    checked by the option classes that hold them."""
+    if config.algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {config.algorithm!r}")
+    if config.output_format not in FORMATS:
+        raise UsageError(f"unknown output format {config.output_format!r}")
+    EnumerationOptions(b_policy=config.b_policy)  # rejects an unknown policy, used or not
     if config.algorithm == "yeh-original":
         if config.yeh_policy is None:
             raise UsageError("--yeh-policy is required with --algorithm yeh-original")
@@ -106,10 +117,6 @@ def _validate(config: RunConfig) -> None:
         raise UsageError("--yeh-policy only applies to --algorithm yeh-original")
     if config.step_limit is not None and config.algorithm != "yeh-original":
         raise UsageError("--step-limit only applies to --algorithm yeh-original")
-    if config.b_policy not in ("scoped", "persistent"):
-        raise UsageError(f"unknown b-policy {config.b_policy!r}")
-    if config.output_format not in ("text", "json"):
-        raise UsageError(f"unknown output format {config.output_format!r}")
 
 
 def _parse_order(spec: str, g: Graph) -> SelectionOrder:
@@ -290,7 +297,8 @@ def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
 
 
 def _json_fields(run: _SinkRun, config: RunConfig) -> dict:
-    """Every top-level key of a run's JSON object except ``mcvs`` and ``cuts``."""
+    """Every top-level key of a run's JSON object except the streamed ones:
+    ``mcvs``, ``cuts`` and ``trace``."""
     g = run.graph
     fields: dict = {
         "graph": {
@@ -315,16 +323,6 @@ def _json_fields(run: _SinkRun, config: RunConfig) -> dict:
             "steps": st.steps,
         }
         fields["status"] = run.report.status.value
-        if config.trace:
-            fields["trace"] = [
-                {
-                    "step": ev.step.value,
-                    "prefix": [g.node_names[v] for v in ev.prefix],
-                    "node": None if ev.node is None else g.node_names[ev.node],
-                    "candidates": [g.node_names[v] for v in ev.candidates],
-                }
-                for ev in run.report.trace
-            ]
     else:
         fields["stats"] = {"subsets_scanned": 1 << (g.node_count - 2)}
         fields["status"] = "completed"
@@ -365,6 +363,7 @@ class _RowFragments:
     ``cuts`` row the join of the fragments of the edges with exactly one end
     in it. Fragments are ranked by label and by sorted label pair, so each
     row comes out sorted as ``json.dumps`` of the sorted label lists would.
+    A ``trace`` row is an object whose label lists keep the event's order.
     """
 
     def __init__(self, g: Graph, level: int) -> None:
@@ -374,6 +373,8 @@ class _RowFragments:
         item, inner = _indent(level + 1), _indent(level + 2)
         by_label = sorted(range(len(names)), key=names.__getitem__)
         self._nodes = [(v, item + label[v]) for v in by_label]
+        self._label, self._item = label, item
+        self._deep = [inner + x for x in label]
         ends = sorted(
             (sorted(e, key=names.__getitem__) for e in g.edges),
             key=lambda e: (names[e[0]], names[e[1]]),
@@ -382,7 +383,8 @@ class _RowFragments:
             (u, v, f"{item}[{inner}{label[u]},{inner}{label[v]}{item}]")
             for u, v in ends
         ]
-        self._close = _indent(level) + "]"
+        self._end = _indent(level)
+        self._close = self._end + "]"
 
     def _row(self, fragments: list[str]) -> str:
         return "[" + ",".join(fragments) + self._close if fragments else "[]"
@@ -392,6 +394,22 @@ class _RowFragments:
 
     def cut(self, u: NodeSet) -> str:
         return self._row([frag for a, b, frag in self._edges if (a in u) != (b in u)])
+
+    def _labels(self, nodes: tuple[int, ...]) -> str:
+        """A label list in the given order, one level below the row's keys."""
+        if not nodes:
+            return "[]"
+        return "[" + ",".join([self._deep[v] for v in nodes]) + self._item + "]"
+
+    def trace(self, ev: TraceEvent) -> str:
+        item = self._item
+        node = "null" if ev.node is None else self._label[ev.node]
+        return (
+            f'{{{item}"candidates": {self._labels(ev.candidates)},'
+            f'{item}"node": {node},'
+            f'{item}"prefix": {self._labels(ev.prefix)},'
+            f'{item}"step": "{ev.step.value}"{self._end}}}'
+        )
 
 
 def _json_array(items: Iterable[Iterable[str]], level: int) -> Iterator[str]:
@@ -407,11 +425,11 @@ def _json_array(items: Iterable[Iterable[str]], level: int) -> Iterator[str]:
 
 def _run_json(run: _SinkRun, config: RunConfig, level: int) -> Iterator[str]:
     """One run's JSON object at nesting ``level``, as a stream of chunks:
-    one per ``mcvs`` and ``cuts`` row, one per other key.
+    one per ``mcvs``, ``cuts`` and ``trace`` row, one per other key.
 
     The small keys go through ``json.dumps`` with every newline shifted to
-    the key's depth (a JSON string never holds a raw newline); the ``mcvs``
-    and ``cuts`` rows are joined from :class:`_RowFragments`.
+    the key's depth (a JSON string never holds a raw newline); the ``mcvs``,
+    ``cuts`` and ``trace`` rows are joined from :class:`_RowFragments`.
     """
     fields = _json_fields(run, config)
     sets = _mcv_sets(run)
@@ -420,6 +438,8 @@ def _run_json(run: _SinkRun, config: RunConfig, level: int) -> Iterator[str]:
         "mcvs": ([rows.mcv(u)] for u in sets),
         "cuts": ([rows.cut(u)] for u in sets),
     }
+    if config.trace and run.report is not None:
+        streamed["trace"] = ([rows.trace(ev)] for ev in run.report.trace)
     opener, pad = "{", _indent(level + 1)
     for key in sorted([*fields, *streamed]):
         yield f'{opener}{pad}"{key}": '
@@ -456,15 +476,10 @@ def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None)
     err = err if err is not None else sys.stderr
     try:
         _validate(config)
-        text = Path(config.input_path).read_text(encoding="utf-8")
-    except UsageError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {config.input_path}: {exc}", file=err)
-        return EXIT_USAGE
-
-    try:
+        try:
+            text = Path(config.input_path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read {config.input_path}: {exc}") from None
         pairs = parse_edge_list(text)
         labels = {x for pair in pairs for x in pair}
 
@@ -490,7 +505,7 @@ def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None)
             sinks = [sink]
 
         runs = [_execute(pairs, source, x, config, err) for x in sinks]
-    except (UsageError, ParseError, GraphError, TooLarge) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 
@@ -515,6 +530,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """The ``run`` options are :class:`RunConfig`'s fields, defaults included."""
     parser = _Parser(prog="mincuts", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -522,30 +538,28 @@ def _build_parser() -> _Parser:
     p_run.add_argument("input_path", metavar="FILE", help="edge-list file")
     p_run.add_argument("--source", help="source label (default: 's' when present)")
     p_run.add_argument("--sink", help="sink label (default: 't' when present)")
-    p_run.add_argument(
-        "--algorithm",
-        choices=["corrected", "yeh-original", "oracle"],
-        default="corrected",
-    )
+    p_run.add_argument("--algorithm", choices=ALGORITHMS, default=RunConfig.algorithm)
     p_run.add_argument(
         "--yeh-policy",
-        choices=["goto-step1", "goto-step3", "goto-step4"],
+        choices=YEH_POLICIES,
         help="transfer taken by yeh-original when the remainder disconnects",
     )
     p_run.add_argument(
         "--order",
-        default="ascending",
+        default=RunConfig.order,
         help="ascending | script:l1,l2,... | random:SEED | priority:l1,l2,...",
     )
-    p_run.add_argument("--b-policy", choices=["scoped", "persistent"], default="scoped")
+    p_run.add_argument("--b-policy", choices=B_POLICIES, default=RunConfig.b_policy)
     p_run.add_argument(
         "--prune",
         action=argparse.BooleanOptionalAction,
-        default=True,
+        default=RunConfig.prune,
         help="drop nodes on no source-sink path before enumerating",
     )
     p_run.add_argument("--compare-oracle", action="store_true")
-    p_run.add_argument("--format", choices=["text", "json"], default="text")
+    p_run.add_argument(
+        "--format", dest="output_format", choices=FORMATS, default=RunConfig.output_format
+    )
     p_run.add_argument("--emit-cuts", action="store_true")
     p_run.add_argument(
         "--all-sinks",
@@ -569,8 +583,8 @@ def _build_parser() -> _Parser:
     p_corpus.add_argument("--random-orders", type=int, default=3)
     p_corpus.add_argument(
         "--b-policies",
-        default="scoped,persistent",
-        help="comma-separated subset of: scoped,persistent",
+        default=",".join(B_POLICIES),
+        help=f"comma-separated subset of: {','.join(B_POLICIES)}",
     )
     p_corpus.add_argument(
         "--out-dir", help="directory for minimized counterexample artifacts"
@@ -583,23 +597,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         ns = parser.parse_args(argv)
         if ns.command == "run":
-            config = RunConfig(
-                input_path=ns.input_path,
-                source=ns.source,
-                sink=ns.sink,
-                algorithm=ns.algorithm,
-                yeh_policy=ns.yeh_policy,
-                order=ns.order,
-                b_policy=ns.b_policy,
-                prune=ns.prune,
-                compare_oracle=ns.compare_oracle,
-                output_format=ns.format,
-                emit_cuts=ns.emit_cuts,
-                all_sinks=ns.all_sinks,
-                step_limit=ns.step_limit,
-                trace=ns.trace,
-            )
-            return run(config)
+            del ns.command
+            return run(RunConfig(**vars(ns)))
         spec = CorpusSpec(
             graph_count=ns.count,
             min_nodes=ns.min_nodes,
@@ -620,7 +619,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stdout,
         )
         return EXIT_OK if result.all_agree else EXIT_MISMATCH
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Callable, Sequence, TextIO
 
 from .enumeration import (
+    B_POLICIES,
     AscendingOrder,
     EnumerationOptions,
     RandomOrder,
@@ -171,7 +172,7 @@ class CorpusRunResult:
 def run_corpus(
     spec: CorpusSpec,
     *,
-    b_policies: Sequence[str] = ("scoped", "persistent"),
+    b_policies: Sequence[str] = B_POLICIES,
     random_orders: int = 3,
     out_dir: str | Path | None = None,
     out: TextIO | None = None,
@@ -184,8 +185,13 @@ def run_corpus(
     ``out``: index, seed, node and edge counts, agree/mismatch, and, when a
     mismatch was shrunk to an artifact, the file it was written to
     (requires ``out_dir``). Artifacts are edge-list files replayable with
-    the same policy and order that exposed the disagreement.
+    the same policy and order that exposed the disagreement. An empty or
+    unknown ``b_policies`` raises ``ValueError`` before any graph runs.
     """
+    if not b_policies:
+        raise ValueError("no b-policy given")
+    for policy in b_policies:
+        EnumerationOptions(b_policy=policy)  # raises on an unknown policy
     lines: list[str] = []
     mismatches = 0
     out_path = Path(out_dir) if out_dir is not None else None

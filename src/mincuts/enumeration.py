@@ -24,11 +24,13 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Literal, Union
+from typing import Callable, Literal, Union, get_args
 
 from .graph import Cut, Graph, NodeSet, _bits, _connected_mask, cut_edges
 
 __all__ = [
+    "B_POLICIES",
+    "YEH_POLICIES",
     "AscendingOrder",
     "EnumerationOptions",
     "EnumerationReport",
@@ -47,6 +49,8 @@ __all__ = [
 
 BPolicy = Literal["scoped", "persistent"]
 OnDisconnected = Literal["goto-step1", "goto-step3", "goto-step4"]
+B_POLICIES: tuple[str, ...] = get_args(BPolicy)
+YEH_POLICIES: tuple[str, ...] = get_args(OnDisconnected)
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,10 @@ class EnumerationOptions:
     b_policy: BPolicy = "scoped"
     record_trace: bool = False
 
+    def __post_init__(self) -> None:
+        if self.b_policy not in B_POLICIES:
+            raise ValueError(f"unknown b-policy {self.b_policy!r}")
+
 
 @dataclass(frozen=True)
 class YehPolicy:
@@ -180,7 +188,7 @@ class YehPolicy:
     step_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.on_disconnected not in ("goto-step1", "goto-step3", "goto-step4"):
+        if self.on_disconnected not in YEH_POLICIES:
             raise ValueError(f"unknown transfer {self.on_disconnected!r}")
         if self.step_limit is not None and self.step_limit <= 0:
             raise ValueError("step_limit must be positive")

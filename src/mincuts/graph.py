@@ -125,16 +125,12 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        neighbor_sets: list[set[int]] = [set() for _ in self.node_names]
-        for u, v in self.edges:
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
-        return tuple(frozenset(s) for s in neighbor_sets)
-
-    @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
-        return tuple(_mask(nbrs) for nbrs in self.adjacency)
+        masks = [0] * self.node_count
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     @cached_property
     def full_mask(self) -> int:
@@ -154,18 +150,12 @@ class Graph:
         except KeyError:
             raise UnknownNode(f"no node labeled {label!r}") from None
 
-    def label_of(self, index: int) -> str:
-        return self.node_names[index]
-
     def node_set(self, *labels: str) -> NodeSet:
         return frozenset(self.index_of(label) for label in labels)
 
     def label_set(self, nodes: Iterable[int]) -> tuple[str, ...]:
         """Labels of ``nodes`` in index (first-appearance) order."""
         return tuple(self.node_names[v] for v in sorted(nodes))
-
-    def complement(self, nodes: Iterable[int]) -> NodeSet:
-        return self.all_nodes - frozenset(nodes)
 
     def __repr__(self) -> str:
         return (
@@ -270,13 +260,11 @@ def boundary_nodes(g: Graph, nodes: Iterable[int]) -> NodeSet:
 class PruneReport:
     """Result of stripping nodes that lie on no simple source-sink path.
 
-    ``removed_nodes`` and ``removed_edges`` use the original graph's
-    indices; ``pruned_graph`` is re-densified, so match nodes by label when
-    relating the two.
+    ``removed_nodes`` uses the original graph's indices; ``pruned_graph``
+    is re-densified, so match nodes by label when relating the two.
     """
 
     removed_nodes: NodeSet
-    removed_edges: Cut
     pruned_graph: Graph
 
 
@@ -326,14 +314,13 @@ def prune_irrelevant(g: Graph) -> PruneReport:
             keep |= 1 << w
     removed_nodes = frozenset(_bits(g.full_mask & ~keep))
     if not removed_nodes:
-        return PruneReport(removed_nodes, frozenset(), g)
+        return PruneReport(removed_nodes, g)
 
-    removed_edges = frozenset(
-        e for e in g.edges if not (keep >> e[0]) & (keep >> e[1]) & 1
-    )
-    surviving = [g.label_set(e) for e in sorted(g.edges - removed_edges)]
-    pruned = build_graph(surviving, g.label_of(s), g.label_of(t))
-    return PruneReport(removed_nodes, removed_edges, pruned)
+    surviving = [
+        g.label_set(e) for e in sorted(g.edges) if (keep >> e[0]) & (keep >> e[1]) & 1
+    ]
+    pruned = build_graph(surviving, g.node_names[s], g.node_names[t])
+    return PruneReport(removed_nodes, pruned)
 
 
 def format_node_set(g: Graph, nodes: Iterable[int]) -> str:

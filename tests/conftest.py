@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mincuts import Graph, build_graph
+from mincuts.graph import Graph, build_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -18,7 +18,8 @@ import time
 
 import pytest
 
-from mincuts import (
+from mincuts import build_graph, enumerate_mcvs, prune_irrelevant
+from mincuts.enumeration import (
     AscendingOrder,
     EnumerationOptions,
     PriorityOrder,
@@ -27,12 +28,9 @@ from mincuts import (
     ScriptedOrder,
     TraceStep,
     YehPolicy,
-    build_graph,
-    enumerate_mcvs,
-    is_mcv,
-    prune_irrelevant,
     run_yeh_original,
 )
+from mincuts.graph import is_mcv
 from mincuts.cli import EXIT_MISMATCH, EXIT_OK, RunConfig, run
 from mincuts.corpus import CorpusSpec, corpus_entries, run_corpus
 from mincuts.oracle import brute_force_mcvs, diff

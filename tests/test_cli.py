@@ -18,10 +18,10 @@ import mincuts.oracle
 from mincuts import (
     brute_force_mcvs,
     build_graph,
-    cut_edges,
     enumerate_mcvs,
     prune_irrelevant,
 )
+from mincuts.graph import cut_edges
 from mincuts.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -415,6 +415,32 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "script-exhausted" in out
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"algorithm": "nonsense"}, "unknown algorithm 'nonsense'"),
+            ({"output_format": "yaml"}, "unknown output format 'yaml'"),
+            ({"b_policy": "bogus"}, "unknown b-policy 'bogus'"),
+            ({"b_policy": "bogus", "algorithm": "oracle"}, "unknown b-policy 'bogus'"),
+        ],
+    )
+    def test_unknown_choice_exit_one(self, fields, message):
+        # argparse ``choices`` never see a config built by a library caller.
+        code, out, err = _run(RunConfig(str(FIXTURES / "fig1.edges"), **fields))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"error: {message}" in err
+
+    def test_nonpositive_step_limit_exit_one(self):
+        config = RunConfig(
+            str(FIXTURES / "fig1.edges"),
+            algorithm="yeh-original",
+            yeh_policy="goto-step1",
+            step_limit=0,
+        )
+        code, out, err = _run(config)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "error: step_limit must be positive" in err
+
     def test_oracle_guard_exit_one(self, tmp_path):
         path = tmp_path / "long.edges"
         names = ["s"] + [str(i) for i in range(1, 30)] + ["t"]
@@ -464,6 +490,18 @@ class TestMain:
             ]
         )
         assert code == EXIT_MISMATCH
+
+    @pytest.mark.parametrize(
+        "policies, message",
+        [("scoped,foo", "unknown b-policy 'foo'"), (",", "no b-policy given")],
+    )
+    def test_corpus_bad_b_policies_exit_one(self, policies, message, capsys):
+        # Before: ``foo`` ran as persistent (exit 2), ``,`` ran nothing (exit 0).
+        code = main(["corpus", "--count", "3", "--seed", "1", "--b-policies", policies])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "graph=" not in captured.out
+        assert f"error: {message}" in captured.err
 
     def test_usage_error_exit_one(self, capsys):
         code = main(["run", str(FIXTURES / "fig1.edges"), "--algorithm", "nonsense"])

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from mincuts import build_graph, is_connected, prune_irrelevant
+from mincuts import build_graph, prune_irrelevant
+from mincuts.graph import is_connected
 from mincuts.cli import parse_edge_list
 from mincuts.corpus import (
     CorpusSpec,

@@ -6,21 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mincuts import (
+from mincuts import EnumerationOptions, build_graph, enumerate_mcvs
+from mincuts.enumeration import (
     AscendingOrder,
-    EnumerationOptions,
     PriorityOrder,
     RandomOrder,
     RunStatus,
     ScriptedOrder,
     TraceStep,
     YehPolicy,
-    boundary_nodes,
-    build_graph,
-    enumerate_mcvs,
-    is_mcv,
     run_yeh_original,
 )
+from mincuts.graph import boundary_nodes, is_mcv
 from mincuts.corpus import CorpusSpec, corpus_entries
 from mincuts.oracle import brute_force_mcvs
 
@@ -232,6 +229,12 @@ class TestBlockedSetPolicies:
         report = enumerate_mcvs(g, opts)
         assert report.status is RunStatus.COMPLETED
         assert frozenset(report.mcvs) == brute_force_mcvs(g).mcvs
+
+
+    def test_unknown_policy_rejected(self):
+        # An unknown name used to run silently as ``persistent``.
+        with pytest.raises(ValueError, match="unknown b-policy 'bogus'"):
+            EnumerationOptions(b_policy="bogus")
 
 
 class TestPredecessorStructure:

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mincuts import (
+from mincuts import build_graph, prune_irrelevant
+from mincuts.graph import (
     DisconnectedInput,
     EmptyOrFullSet,
     SelfLoop,
     SourceEqualsSink,
     UnknownNode,
     boundary_nodes,
-    build_graph,
     cut_edges,
     is_connected,
     is_mcv,
-    prune_irrelevant,
 )
 from mincuts.corpus import CorpusSpec, corpus_entries
 from mincuts.oracle import brute_force_mcvs

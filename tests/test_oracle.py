@@ -4,15 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from mincuts import (
-    EnumerationOptions,
-    ScriptedOrder,
-    YehPolicy,
-    build_graph,
-    cut_edges,
-    enumerate_mcvs,
-    run_yeh_original,
-)
+from mincuts import EnumerationOptions, build_graph, enumerate_mcvs
+from mincuts.enumeration import ScriptedOrder, YehPolicy, run_yeh_original
+from mincuts.graph import cut_edges
 from mincuts.oracle import MAX_ORACLE_NODES, TooLarge, brute_force_mcvs, diff
 
 from .conftest import (

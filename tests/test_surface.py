@@ -1,0 +1,60 @@
+"""The package surface that code outside ``src/`` relies on.
+
+The benchmark under ``perfbench/`` wraps functions by module and name and
+imports from the top-level package, and the README shows a library
+snippet. Each is read as source here, so a renamed or unexported name
+fails a test rather than a benchmark run or a reader.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import mincuts
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _wrapped_names() -> list[tuple[str, str]]:
+    """The ``(module, attribute)`` keys of ``WRAPPED`` in perfbench/tracing.py."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets
+        ):
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError("perfbench/tracing.py defines no WRAPPED")
+
+
+@pytest.mark.parametrize("module, attr", _wrapped_names())
+def test_traced_function_is_module_level(module, attr):
+    # The tracer swaps the module attribute, so callers must look it up
+    # there at call time.
+    assert callable(vars(importlib.import_module(module)).get(attr))
+
+
+@pytest.mark.parametrize("script", ["setup_probe.py", "selftest.py"])
+def test_benchmark_imports_are_exported(script):
+    tree = ast.parse((PERFBENCH / script).read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "mincuts"
+        for alias in node.names
+    ]
+    assert names
+    assert set(names) <= set(mincuts.__all__)
+
+
+def test_readme_library_snippet_runs():
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    snippet = re.search(r"```python\n(.*?)```", library, re.DOTALL)
+    assert snippet is not None
+    exec(compile(snippet.group(1), "README.md", "exec"), {})
