@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 MAX_CORPUS_NODES = 12
+# Draws per graph before the generator gives up on an edge probability too
+# low to make connected graphs; the default corpus needs at most about 20.
+MAX_GRAPH_DRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,10 @@ def _random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
     """One connected graph: edge sampling with rejection until connected.
 
     Source and sink are distinct random nodes, labeled ``s`` and ``t``; the
-    rest are numbered in index order.
+    rest are numbered in index order. Raises ``ValueError`` when
+    ``MAX_GRAPH_DRAWS`` draws give no connected graph.
     """
-    while True:
+    for _ in range(MAX_GRAPH_DRAWS):
         edges = [
             (i, j)
             for i in range(n)
@@ -83,6 +87,11 @@ def _random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
             adj[j] |= 1 << i
         if edges and _connected_mask(tuple(adj), (1 << n) - 1):
             break
+    else:
+        raise ValueError(
+            f"no connected {n}-node graph in {MAX_GRAPH_DRAWS} draws at edge "
+            f"probability {p}; raise --edge-prob"
+        )
     source, sink = rng.sample(range(n), 2)
     names: dict[int, str] = {source: "s", sink: "t"}
     counter = 0
@@ -186,10 +195,13 @@ def run_corpus(
     mismatch was shrunk to an artifact, the file it was written to
     (requires ``out_dir``). Artifacts are edge-list files replayable with
     the same policy and order that exposed the disagreement. An empty or
-    unknown ``b_policies`` raises ``ValueError`` before any graph runs.
+    unknown ``b_policies``, or a negative ``random_orders``, raises
+    ``ValueError`` before any graph runs.
     """
     if not b_policies:
         raise ValueError("no b-policy given")
+    if random_orders < 0:
+        raise ValueError(f"random_orders must be non-negative, got {random_orders}")
     for policy in b_policies:
         EnumerationOptions(b_policy=policy)  # raises on an unknown policy
     lines: list[str] = []

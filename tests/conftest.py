@@ -117,6 +117,21 @@ def path_graph_edges(n: int) -> list[tuple[str, str]]:
     return list(zip(names, names[1:]))
 
 
+def grid_graph_edges(rows: int, cols: int) -> list[tuple[str, str]]:
+    """A rows x cols grid with s and t at opposite corners."""
+
+    def name(r: int, c: int) -> str:
+        if (r, c) == (0, 0):
+            return "s"
+        if (r, c) == (rows - 1, cols - 1):
+            return "t"
+        return f"{r}.{c}"
+
+    right = [(name(r, c), name(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
+    down = [(name(r, c), name(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
+    return right + down
+
+
 def label_sets(g: Graph, node_sets) -> set[frozenset[str]]:
     """Index-based node sets to label sets, for comparing against goldens."""
     return {frozenset(g.node_names[v] for v in u) for u in node_sets}

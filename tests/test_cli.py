@@ -503,6 +503,26 @@ class TestMain:
         assert "graph=" not in captured.out
         assert f"error: {message}" in captured.err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--random-orders", "-1"], "random_orders must be non-negative"),
+            (
+                ["--min-nodes", "12", "--max-nodes", "12", "--edge-prob", "0.01"],
+                "raise --edge-prob",
+            ),
+        ],
+        ids=["negative-random-orders", "hopeless-edge-prob"],
+    )
+    def test_corpus_bad_settings_exit_one(self, args, message, capsys):
+        # Before: ``-1`` ran as 0 random orders; the edge probability hung.
+        code = main(["corpus", "--count", "1", "--seed", "1", *args])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "graph=" not in captured.out
+        assert message in captured.err
+        assert captured.err.startswith("error: ")
+
     def test_usage_error_exit_one(self, capsys):
         code = main(["run", str(FIXTURES / "fig1.edges"), "--algorithm", "nonsense"])
         assert code == EXIT_USAGE

@@ -60,6 +60,14 @@ class TestGeneration:
         for g in [e.graph for e in corpus_entries(spec)]:
             assert prune_irrelevant(g).removed_nodes == frozenset()
 
+    def test_hopeless_edge_probability_gives_up(self):
+        # Before: the rejection loop retried forever at this density.
+        spec = CorpusSpec(
+            graph_count=1, min_nodes=12, max_nodes=12, edge_probability=0.01
+        )
+        with pytest.raises(ValueError, match="raise --edge-prob"):
+            corpus_entries(spec)
+
     def test_per_graph_seeds_regenerate(self):
         spec = CorpusSpec(graph_count=5, min_nodes=4, max_nodes=8, seed=1234)
         entries = corpus_entries(spec)
