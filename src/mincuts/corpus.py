@@ -89,8 +89,8 @@ def _random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
             break
     else:
         raise ValueError(
-            f"no connected {n}-node graph in {MAX_GRAPH_DRAWS} draws at edge "
-            f"probability {p}; raise --edge-prob"
+            f"no connected {n}-node graph in {MAX_GRAPH_DRAWS} draws at "
+            f"edge_probability {p}; raise edge_probability"
         )
     source, sink = rng.sample(range(n), 2)
     names: dict[int, str] = {source: "s", sink: "t"}

@@ -7,9 +7,8 @@ per-level exclusion sets ``N``, blocked-candidate set ``B``):
   ``{s}``, retries other candidates when removing a candidate from the
   remainder disconnects it (tracking such failures in ``B``), and stops
   only once the search has backtracked all the way past the root.
-  Ascending, ``scoped``, untraced runs on pruned inputs take a lean loop
-  that skips the candidates a lowpoint DFS shows to be cut vertices of
-  the remainder; the report is the same.
+  Ascending, ``scoped``, untraced runs take a lean bitmask loop with the
+  same steps and the same report.
 * :func:`run_yeh_original` — a faithful replica of the original 2006
   algorithm (Yeh, EJOR 174:1694-1705), kept for diagnosis. It never
   records ``{s}``, stops one level early, has no ``B`` set, and leaves the
@@ -29,15 +28,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Literal, Union, get_args
 
-from .graph import (
-    Cut,
-    Graph,
-    NodeSet,
-    _bits,
-    _connected_mask,
-    _cut_vertices,
-    cut_edges,
-)
+from .graph import Cut, Graph, NodeSet, _bits, _connected_mask, cut_edges
 
 __all__ = [
     "B_POLICIES",
@@ -326,21 +317,17 @@ def enumerate_mcvs(
     Completes on every valid input; a scripted order that runs dry aborts
     with status ``SCRIPT_EXHAUSTED`` and partial results.
 
-    Ascending order with ``scoped`` and no trace, on a graph that stays
-    connected without the source (every pruned graph does), runs the lean
-    loop of :func:`_enumerate_ascending`, which finds the doomed candidates
-    of a position with one lowpoint DFS instead of one BFS each. All other
-    runs take the step-by-step loop: skipping a doomed pick would change
-    the next random draw or script entry, and a trace shows every check.
-    Both loops return the same report; ``stats`` counts the algorithm's
-    steps and connectivity checks, not the BFS runs made.
+    Ascending order with ``scoped`` and no trace runs the lean loop of
+    :func:`_enumerate_ascending`; every other run (priority, random and
+    scripted orders, ``persistent``, traces) takes the step-by-step loop
+    below. Both make the same steps and one BFS per connectivity check,
+    and return the same report.
     """
     opts = opts or EnumerationOptions()
     if (
         isinstance(opts.selection_order, AscendingOrder)
         and opts.b_policy == "scoped"
         and not opts.record_trace
-        and _connected_mask(g.adjacency_masks, g.full_mask & ~(1 << g.source))
     ):
         return _enumerate_ascending(g)
     choose = _make_chooser(opts.selection_order)
@@ -395,38 +382,23 @@ def enumerate_mcvs(
             st.emit(TraceStep.STEP4_BACKTRACK, u)
 
 
-# One lowpoint DFS over a remainder costs about as much as four of the
-# bitmask BFS checks it replaces (4.1-4.3 times, measured under CPython 3.11
-# on corpus graphs and 4x7 and 5x6 grids), so it runs only where it spares
-# at least that many.
-_DFS_MIN_UNTESTED = 4
-
-
 def _enumerate_ascending(g: Graph) -> EnumerationReport:
     """:func:`enumerate_mcvs` in ascending order, ``scoped``, without trace.
 
-    ``g`` minus its source must be connected. Only descents that keep the
-    remainder connected are taken, so it stays connected at every
-    position, and the candidates failing step 2 there are exactly its cut
-    vertices. The first failed check at a position runs one lowpoint DFS
-    over the remainder if at least ``_DFS_MIN_UNTESTED`` other legal
-    candidates are still untested, and blocks every legal cut vertex at
-    once; the position is then known, and its remaining candidates pass
-    without a BFS. Positions where nothing fails never run the DFS, and
-    positions with fewer candidates left test them one BFS each. Each
-    skipped check is still charged to ``stats`` as the step loop would
-    count it, so both loops return the same report.
+    The same steps as the step loop, over bitmasks: the prefix's frontier
+    is one mask grown on descent and restored on backtrack, the legal
+    candidates are one mask expression, and the lowest set bit is the
+    ascending pick. It makes no candidate tuples and no ``_State`` calls,
+    and counts the same ``stats``.
     """
     adj = g.adjacency_masks
-    min_untested = _DFS_MIN_UNTESTED
     stack = [g.source]
     rest = g.full_mask & ~(1 << g.source)
     frontier = adj[g.source]  # nodes adjacent to the prefix
     excluded = 1 << g.sink
     blocked = 0
-    known = False  # have this position's cut vertices been blocked?
     # Per descended level, the parent position's state to restore.
-    saved: list[tuple[int, int, int, bool]] = []
+    saved: list[tuple[int, int, int]] = []
     found = [frozenset(stack)]
     visits = checks = backtracks = 0
     steps = 1
@@ -441,35 +413,24 @@ def _enumerate_ascending(g: Graph) -> EnumerationReport:
                 break
             backtracks += 1
             u = stack.pop()
-            frontier, excluded, blocked, known = saved.pop()
+            frontier, excluded, blocked = saved.pop()
             rest |= 1 << u
             excluded |= 1 << u
             continue
         low = legal & -legal
         steps += 1
         checks += 1
-        if known or _connected_mask(adj, rest ^ low):
+        if _connected_mask(adj, rest ^ low):
             steps += 1
-            saved.append((frontier, excluded, blocked, known))
+            saved.append((frontier, excluded, blocked))
             v = low.bit_length() - 1
             stack.append(v)
             rest ^= low
             frontier |= adj[v]
             blocked = 0
-            known = False
             found.append(frozenset(stack))
-        elif (legal ^ low).bit_count() < min_untested:
-            blocked |= low
         else:
-            doomed = legal & _cut_vertices(adj, rest)
-            # The failed pick is charged above; charge the other doomed
-            # candidates a step-1 visit, step 2 and its check each.
-            skipped = doomed.bit_count() - 1
-            visits += skipped
-            steps += 2 * skipped
-            checks += skipped
-            blocked |= doomed
-            known = True
+            blocked |= low
 
     stats = RunStats(
         step1_visits=visits,

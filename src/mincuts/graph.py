@@ -100,74 +100,6 @@ def _connected_mask(adjacency_masks: Sequence[int], mask: int) -> bool:
     return seen == mask
 
 
-def _lowpoint_dfs(
-    adjacency_masks: Sequence[int], mask: int, root: int, root_edges: int
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Iterative depth-first search over the nodes of ``mask`` from ``root``.
-
-    The root follows only the edges in ``root_edges`` (which may name a
-    virtual edge); every other node follows its edges inside ``mask``.
-    Returns ``(order, parent, disc, low)``: the tree nodes other than the
-    root in preorder, and per-node lists indexed by node. ``disc`` is the
-    1-based preorder number (0 for the root, -1 if unreached), ``low`` the
-    Tarjan lowpoint (the smallest ``disc`` reachable from the node's
-    subtree over one back edge) and ``parent`` the tree parent (the root
-    is its own parent).
-    """
-    n = len(adjacency_masks)
-    disc, low, parent = [-1] * n, [0] * n, [root] * n
-    disc[root] = 0
-    order: list[int] = []
-    todo = [0] * n  # unexplored edges per node on the DFS stack
-    todo[root] = root_edges
-    stack = [root]
-    while stack:
-        v = stack[-1]
-        edges = todo[v]
-        if not edges:
-            stack.pop()
-            p = parent[v]
-            if low[v] < low[p]:
-                low[p] = low[v]
-            continue
-        bit = edges & -edges
-        todo[v] = edges ^ bit
-        w = bit.bit_length() - 1
-        if disc[w] >= 0:
-            if disc[w] < low[v]:
-                low[v] = disc[w]
-        else:
-            order.append(w)
-            disc[w] = low[w] = len(order)
-            parent[w] = v
-            todo[w] = adjacency_masks[w] & mask & ~(1 << v)
-            stack.append(w)
-    return order, parent, disc, low
-
-
-def _cut_vertices(adjacency_masks: Sequence[int], mask: int) -> int:
-    """Bitmask of the cut vertices of the subgraph induced by ``mask``.
-
-    ``mask`` must be non-empty and induce a connected subgraph. A node is a
-    cut vertex (articulation point) iff deleting it disconnects the rest.
-    """
-    root = (mask & -mask).bit_length() - 1
-    order, parent, disc, low = _lowpoint_dfs(
-        adjacency_masks, mask, root, adjacency_masks[root] & mask
-    )
-    cuts = 0
-    root_children = 0
-    for w in order:
-        p = parent[w]
-        if p == root:
-            root_children += 1
-        elif low[w] >= disc[p]:
-            cuts |= 1 << p
-    if root_children > 1:
-        cuts |= 1 << root
-    return cuts
-
-
 @dataclass(frozen=True, repr=False)
 class Graph:
     """Connected undirected simple graph with designated source and sink.
@@ -340,9 +272,8 @@ def prune_irrelevant(g: Graph) -> PruneReport:
     """Remove every node that lies on no simple source-sink path.
 
     Those nodes are exactly the ones outside the biconnected block of the
-    (possibly virtual) source-sink edge. One lowpoint depth-first search
-    (:func:`_lowpoint_dfs`, shared with the search's cut-vertex mask) from
-    the source, entering the sink first, computes discovery times and
+    (possibly virtual) source-sink edge. One iterative depth-first search
+    from the source, entering the sink first, computes discovery times and
     lowpoints; then, in preorder, a node ``w`` other than source and sink
     is kept iff its DFS parent ``p`` is kept and ``low[w] < disc[p]``.
     Removing the others preserves the family of minimal s-t cuts as edge
@@ -350,10 +281,33 @@ def prune_irrelevant(g: Graph) -> PruneReport:
     sink always survive.
     """
     s, t = g.source, g.sink
-    # The source's only tree edge is the (possibly virtual) edge to the
-    # sink: its other edges are back edges from the sink's subtree or lead
-    # into other blocks.
-    order, parent, disc, low = _lowpoint_dfs(g.adjacency_masks, g.full_mask, s, 1 << t)
+    # The source is its own parent, so popping it needs no special case.
+    disc, low, parent = [-1] * g.node_count, [0] * g.node_count, [s] * g.node_count
+    disc[s] = 0
+    order: list[int] = []
+    # Unexplored edges per node. The source's only one is the (possibly
+    # virtual) edge to the sink: its other edges are back edges from the
+    # sink's subtree or lead into other blocks.
+    todo = list(g.adjacency_masks)
+    todo[s] = 1 << t
+    stack = [s]
+    while stack:
+        v = stack[-1]
+        if not todo[v]:
+            stack.pop()
+            low[parent[v]] = min(low[parent[v]], low[v])
+            continue
+        w = (todo[v] & -todo[v]).bit_length() - 1
+        todo[v] &= todo[v] - 1
+        if disc[w] >= 0:
+            low[v] = min(low[v], disc[w])
+        else:
+            order.append(w)
+            disc[w] = low[w] = len(order)
+            parent[w] = v
+            todo[w] &= ~(1 << v)
+            stack.append(w)
+
     keep = (1 << s) | (1 << t)
     for w in order:
         if (keep >> parent[w]) & 1 and low[w] < disc[parent[w]]:

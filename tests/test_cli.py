@@ -509,7 +509,7 @@ class TestMain:
             (["--random-orders", "-1"], "random_orders must be non-negative"),
             (
                 ["--min-nodes", "12", "--max-nodes", "12", "--edge-prob", "0.01"],
-                "raise --edge-prob",
+                "raise edge_probability",
             ),
         ],
         ids=["negative-random-orders", "hopeless-edge-prob"],

@@ -65,7 +65,7 @@ class TestGeneration:
         spec = CorpusSpec(
             graph_count=1, min_nodes=12, max_nodes=12, edge_probability=0.01
         )
-        with pytest.raises(ValueError, match="raise --edge-prob"):
+        with pytest.raises(ValueError, match="raise edge_probability"):
             corpus_entries(spec)
 
     def test_per_graph_seeds_regenerate(self):

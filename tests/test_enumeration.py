@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mincuts.enumeration
-import mincuts.graph
 from mincuts import EnumerationOptions, build_graph, enumerate_mcvs, prune_irrelevant
 from mincuts.enumeration import (
     AscendingOrder,
@@ -21,7 +18,7 @@ from mincuts.enumeration import (
     YehPolicy,
     run_yeh_original,
 )
-from mincuts.graph import _connected_mask, _cut_vertices, boundary_nodes, is_mcv
+from mincuts.graph import boundary_nodes, is_mcv
 from mincuts.corpus import CorpusSpec, corpus_entries
 from mincuts.oracle import brute_force_mcvs
 
@@ -243,23 +240,18 @@ class TestBlockedSetPolicies:
             EnumerationOptions(b_policy="bogus")
 
 
-def _assert_fast_matches_step_path(g):
+def _assert_lean_matches_step_path(g):
     # A trace keeps the run on the step-by-step loop.
     step = enumerate_mcvs(g, EnumerationOptions(record_trace=True))
-    with pytest.MonkeyPatch.context() as mp:
-        # With 1, every first failed check with a candidate left runs the
-        # DFS, so small graphs cover that branch too.
-        for min_untested in (mincuts.enumeration._DFS_MIN_UNTESTED, 1):
-            mp.setattr(mincuts.enumeration, "_DFS_MIN_UNTESTED", min_untested)
-            fast = enumerate_mcvs(g)
-            assert fast.mcvs == step.mcvs
-            assert fast.stats == step.stats
-            assert fast.status is step.status is RunStatus.COMPLETED
+    lean = enumerate_mcvs(g)
+    assert lean.mcvs == step.mcvs
+    assert lean.stats == step.stats
+    assert lean.status is step.status is RunStatus.COMPLETED
 
 
 @st.composite
-def sparse_pruned_graphs(draw):
-    """Random trees of up to 40 nodes plus a few short chords, pruned.
+def sparse_graphs(draw):
+    """Random trees of up to 40 nodes plus a few short chords, maybe pruned.
 
     Parents and chords join nearby indices, so the tree has long paths, and
     the terminals are its first and last nodes, so the source-sink block
@@ -272,27 +264,27 @@ def sparse_pruned_graphs(draw):
     for a, gap in draw(st.lists(chords, max_size=12)):
         if a - gap >= 0:
             edges.append((str(a - gap), str(a)))
-    return prune_irrelevant(build_graph(edges, "0", str(n - 1))).pruned_graph
+    g = build_graph(edges, "0", str(n - 1))
+    return prune_irrelevant(g).pruned_graph if draw(st.booleans()) else g
 
 
 class TestAnswerPath:
-    """Ascending ``scoped`` runs skip the checks that must fail at a position.
+    """Ascending ``scoped`` untraced runs take the lean bitmask loop.
 
-    Those candidates are the cut vertices of the remainder, found by one
-    lowpoint DFS at the first failed check of a position with enough
-    candidates left; the report must not change.
+    It must make the same steps as the step loop: same sets in the same
+    order, same ``RunStats``.
     """
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**9))
     def test_matches_step_path_on_corpus_graphs(self, seed):
         spec = CorpusSpec(graph_count=1, min_nodes=2, max_nodes=12, seed=seed)
-        _assert_fast_matches_step_path(corpus_entries(spec)[0].graph)
+        _assert_lean_matches_step_path(corpus_entries(spec)[0].graph)
 
     @settings(max_examples=100, deadline=None)
-    @given(g=sparse_pruned_graphs())
-    def test_matches_step_path_on_sparse_pruned_graphs(self, g):
-        _assert_fast_matches_step_path(g)
+    @given(g=sparse_graphs())
+    def test_matches_step_path_on_sparse_graphs(self, g):
+        _assert_lean_matches_step_path(g)
 
     @pytest.mark.parametrize(
         "edges",
@@ -300,79 +292,17 @@ class TestAnswerPath:
         ids=["grid3x4", "k6"],
     )
     def test_matches_step_path_on_dense_cases(self, edges):
-        _assert_fast_matches_step_path(build_graph(edges, "s", "t"))
+        _assert_lean_matches_step_path(build_graph(edges, "s", "t"))
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        n=st.integers(1, 16),
-        edge_bits=st.integers(0, 2**120 - 1),
-        mask_bits=st.integers(1, 2**16 - 1),
-    )
-    def test_cut_vertices_match_brute_force(self, n, edge_bits, mask_bits):
-        adj = [0] * n
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for k, (u, v) in enumerate(pairs):
-            if (edge_bits >> k) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        mask = mask_bits & ((1 << n) - 1) or 1
-        # Keep the component of the lowest node: the helper wants it connected.
-        seen = mask & -mask
-        while True:
-            grown = seen
-            for v in range(n):
-                if (seen >> v) & 1:
-                    grown |= adj[v] & mask
-            if grown == seen:
-                break
-            seen = grown
-        mask = seen
-        expected = 0
-        for v in range(n):
-            if (mask >> v) & 1 and not _connected_mask(adj, mask & ~(1 << v)):
-                expected |= 1 << v
-        assert _cut_vertices(adj, mask) == expected
+    def test_default_run_skips_the_step_loop(self, monkeypatch):
+        # Guards the dispatch: otherwise the tests above compare the step
+        # loop with itself.
+        def no_state(*args):
+            raise AssertionError("step loop used")
 
-    @pytest.fixture
-    def helper_calls(self, monkeypatch):
-        calls = Counter()
-        for name, helper in [
-            ("_cut_vertices", _cut_vertices),
-            ("_connected_mask", _connected_mask),
-        ]:
-
-            def counted(*args, name=name, helper=helper):
-                calls[name] += 1
-                return helper(*args)
-
-            monkeypatch.setattr(mincuts.enumeration, name, counted)
-        return calls
-
-    def test_no_dfs_when_every_check_passes(self, helper_calls):
-        enumerate_mcvs(build_graph(complete_graph_edges(8), "s", "t"))
-        assert helper_calls["_cut_vertices"] == 0
-
-    def test_at_most_one_dfs_per_position(self, helper_calls):
+        monkeypatch.setattr(mincuts.enumeration, "_State", no_state)
         report = enumerate_mcvs(build_graph(grid_graph_edges(3, 4), "s", "t"))
-        # Every recorded prefix is one position.
-        assert 0 < helper_calls["_cut_vertices"] <= len(report.mcvs)
-        # The checks the DFS spared are still counted.
-        assert helper_calls["_connected_mask"] < report.stats.connectivity_checks
-
-    def test_prune_and_search_share_one_dfs(self, monkeypatch):
-        roots = []
-        dfs = mincuts.graph._lowpoint_dfs
-
-        def recorded(adjacency_masks, mask, root, root_edges):
-            roots.append(root)
-            return dfs(adjacency_masks, mask, root, root_edges)
-
-        monkeypatch.setattr(mincuts.graph, "_lowpoint_dfs", recorded)
-        g = build_graph(grid_graph_edges(4, 4), "s", "t")
-        prune_irrelevant(g)
-        assert roots == [g.source]
-        enumerate_mcvs(g)
-        assert len(roots) > 1
+        assert report.status is RunStatus.COMPLETED
 
 
 class TestPredecessorStructure:
