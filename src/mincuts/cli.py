@@ -54,6 +54,14 @@ EXIT_STEP_LIMIT = 3
 
 ALGORITHMS = ("corrected", "yeh-original", "oracle")
 FORMATS = ("text", "json")
+# The ``corpus`` flag behind each library field its errors name.
+_CORPUS_FLAGS = {
+    "graph_count": "--count",
+    "min_nodes": "--min-nodes",
+    "max_nodes": "--max-nodes",
+    "edge_probability": "--edge-prob",
+    "random_orders": "--random-orders",
+}
 
 
 class ParseError(ValueError):
@@ -599,21 +607,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         if ns.command == "run":
             del ns.command
             return run(RunConfig(**vars(ns)))
-        spec = CorpusSpec(
-            graph_count=ns.count,
-            min_nodes=ns.min_nodes,
-            max_nodes=ns.max_nodes,
-            edge_probability=ns.edge_prob,
-            seed=ns.seed,
-            prune=ns.prune,
-        )
-        result = run_corpus(
-            spec,
-            b_policies=tuple(x for x in ns.b_policies.split(",") if x),
-            random_orders=ns.random_orders,
-            out_dir=ns.out_dir,
-            out=sys.stdout,
-        )
+        try:
+            spec = CorpusSpec(
+                graph_count=ns.count,
+                min_nodes=ns.min_nodes,
+                max_nodes=ns.max_nodes,
+                edge_probability=ns.edge_prob,
+                seed=ns.seed,
+                prune=ns.prune,
+            )
+            result = run_corpus(
+                spec,
+                b_policies=tuple(x for x in ns.b_policies.split(",") if x),
+                random_orders=ns.random_orders,
+                out_dir=ns.out_dir,
+                out=sys.stdout,
+            )
+        except ValueError as exc:
+            message = str(exc)
+            for field, flag in _CORPUS_FLAGS.items():
+                message = message.replace(field, flag)
+            raise UsageError(message) from None
         print(
             f"# {result.graphs} graphs, {result.mismatches} mismatch(es)",
             file=sys.stdout,

@@ -54,7 +54,8 @@ class CorpusSpec:
             raise ValueError("graph_count must be positive")
         if not 2 <= self.min_nodes <= self.max_nodes <= MAX_CORPUS_NODES:
             raise ValueError(
-                f"node range must satisfy 2 <= min <= max <= {MAX_CORPUS_NODES}"
+                "node range must satisfy 2 <= min_nodes <= max_nodes <= "
+                f"{MAX_CORPUS_NODES}"
             )
         if not 0.0 < self.edge_probability <= 1.0:
             raise ValueError("edge_probability must be in (0, 1]")

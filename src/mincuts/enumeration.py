@@ -1,20 +1,20 @@
 """Backtracking enumeration of the node sets generating minimal s-t cuts.
 
-Two engines share one state layout (prefix stack ``S``, remainder ``T``,
-per-level exclusion sets ``N``, blocked-candidate set ``B``):
+Two engines search with the same state (prefix stack ``S``, remainder
+``T``, per-level exclusion sets ``N``, blocked-candidate set ``B``):
 
 * :func:`enumerate_mcvs` — the corrected search. It records the initial
   ``{s}``, retries other candidates when removing a candidate from the
   remainder disconnects it (tracking such failures in ``B``), and stops
-  only once the search has backtracked all the way past the root.
-  Ascending, ``scoped``, untraced runs take a lean bitmask loop with the
-  same steps and the same report.
+  only once the search has backtracked all the way past the root. Every
+  selection order, b-policy and trace setting runs one loop over bitmasks.
 * :func:`run_yeh_original` — a faithful replica of the original 2006
   algorithm (Yeh, EJOR 174:1694-1705), kept for diagnosis. It never
   records ``{s}``, stops one level early, has no ``B`` set, and leaves the
   disconnected case of its step 2 undefined; :class:`YehPolicy` selects
   which of the three possible transfers to take so each documented failure
-  mode can be reproduced on demand.
+  mode can be reproduced on demand. It runs step by step over
+  :class:`_State`, which serves only the replica.
 
 Both run iteratively with explicit stacks, so deep graphs cannot exhaust
 the call stack.
@@ -220,7 +220,7 @@ class EnumerationReport:
 
 
 class _State:
-    """Shared mutable search state over bitmasks.
+    """The replica's mutable search state over bitmasks.
 
     Per-level exclusion sets are plain ints, so the level copy made on
     descent is free and mutation on backtrack cannot leak across levels.
@@ -317,80 +317,24 @@ def enumerate_mcvs(
     Completes on every valid input; a scripted order that runs dry aborts
     with status ``SCRIPT_EXHAUSTED`` and partial results.
 
-    Ascending order with ``scoped`` and no trace runs the lean loop of
-    :func:`_enumerate_ascending`; every other run (priority, random and
-    scripted orders, ``persistent``, traces) takes the step-by-step loop
-    below. Both make the same steps and one BFS per connectivity check,
-    and return the same report.
+    Every order, policy and trace setting runs the same loop over
+    bitmasks: the prefix's frontier is one mask grown on descent and
+    restored on backtrack, the legal candidates are one mask expression,
+    and each connectivity check is one BFS. Untraced ascending runs take
+    the lowest legal bit; other runs choose from the legal candidates as
+    an ascending tuple. Trace events are built only when
+    ``opts.record_trace`` is set.
     """
     opts = opts or EnumerationOptions()
-    if (
-        isinstance(opts.selection_order, AscendingOrder)
-        and opts.b_policy == "scoped"
-        and not opts.record_trace
-    ):
-        return _enumerate_ascending(g)
-    choose = _make_chooser(opts.selection_order)
-    st = _State(g, opts.record_trace)
+    order = opts.selection_order
+    tracing = opts.record_trace
+    # Untraced ascending runs pick the lowest legal bit and build no tuple.
+    if isinstance(order, AscendingOrder) and not tracing:
+        choose = None
+    else:
+        choose = _make_chooser(order)
     scoped = opts.b_policy == "scoped"
-
-    blocked = 0
-    saved_blocked: list[int] = []
-
-    st.record()  # the root prefix {s} is itself recorded
-    st.stats.steps += 1
-    st.emit(TraceStep.STEP0)
-
-    while True:
-        # Step 1: pick a candidate adjacent to the prefix, or give up here.
-        st.stats.step1_visits += 1
-        st.stats.steps += 1
-        candidates = st.legal_candidates(blocked)
-        if candidates:
-            v = choose(candidates)
-            if v is None:
-                st.emit(TraceStep.STOP)
-                return st.report(RunStatus.SCRIPT_EXHAUSTED)
-            st.emit(TraceStep.STEP1_SELECT, v, candidates)
-
-            # Step 2: keep v only if the remainder stays connected without it.
-            st.stats.steps += 1
-            if st.remainder_connected_without(v):
-                st.emit(TraceStep.STEP2_CONNECTED, v)
-                # Step 3: descend and record the extended prefix.
-                st.stats.steps += 1
-                if scoped:
-                    saved_blocked.append(blocked)
-                blocked = 0
-                st.descend(v)
-                st.record()
-                st.stats.records += 1
-                st.emit(TraceStep.STEP3_RECORD, v)
-            else:
-                st.emit(TraceStep.STEP2_DISCONNECTED, v)
-                blocked |= 1 << v
-        else:
-            st.emit(TraceStep.STEP1_EXHAUSTED, None, st.raw_candidates(blocked))
-            # Step 4: stop at the root, otherwise back out one level.
-            st.stats.steps += 1
-            if len(st.stack) == 1:
-                st.emit(TraceStep.STOP)
-                return st.report(RunStatus.COMPLETED)
-            u = st.backtrack()
-            if scoped:
-                blocked = saved_blocked.pop()
-            st.emit(TraceStep.STEP4_BACKTRACK, u)
-
-
-def _enumerate_ascending(g: Graph) -> EnumerationReport:
-    """:func:`enumerate_mcvs` in ascending order, ``scoped``, without trace.
-
-    The same steps as the step loop, over bitmasks: the prefix's frontier
-    is one mask grown on descent and restored on backtrack, the legal
-    candidates are one mask expression, and the lowest set bit is the
-    ascending pick. It makes no candidate tuples and no ``_State`` calls,
-    and counts the same ``stats``.
-    """
+    trace: list[TraceEvent] = []
     adj = g.adjacency_masks
     stack = [g.source]
     rest = g.full_mask & ~(1 << g.source)
@@ -399,28 +343,57 @@ def _enumerate_ascending(g: Graph) -> EnumerationReport:
     blocked = 0
     # Per descended level, the parent position's state to restore.
     saved: list[tuple[int, int, int]] = []
-    found = [frozenset(stack)]
+    found = [frozenset(stack)]  # the root prefix {s} is itself recorded
     visits = checks = backtracks = 0
     steps = 1
+    status = RunStatus.COMPLETED
+    if tracing:
+        trace.append(TraceEvent(TraceStep.STEP0, tuple(stack)))
 
     while True:
+        # Step 1: pick a candidate adjacent to the prefix, or give up here.
         visits += 1
         steps += 1
         legal = rest & frontier & ~(blocked | excluded)
         if not legal:
+            if tracing:
+                raw = tuple(_bits(rest & ~(blocked | excluded)))
+                trace.append(
+                    TraceEvent(TraceStep.STEP1_EXHAUSTED, tuple(stack), None, raw)
+                )
+            # Step 4: stop at the root, otherwise back out one level.
             steps += 1
             if not saved:
                 break
             backtracks += 1
             u = stack.pop()
-            frontier, excluded, blocked = saved.pop()
+            frontier, excluded, parent_blocked = saved.pop()
+            if scoped:
+                blocked = parent_blocked
             rest |= 1 << u
             excluded |= 1 << u
+            if tracing:
+                trace.append(TraceEvent(TraceStep.STEP4_BACKTRACK, tuple(stack), u))
             continue
-        low = legal & -legal
+        if choose is None:
+            low = legal & -legal
+        else:
+            candidates = tuple(_bits(legal))
+            v = choose(candidates)
+            if v is None:
+                status = RunStatus.SCRIPT_EXHAUSTED
+                break
+            low = 1 << v
+            if tracing:
+                trace.append(
+                    TraceEvent(TraceStep.STEP1_SELECT, tuple(stack), v, candidates)
+                )
+
+        # Step 2: keep the pick only if the remainder stays connected without it.
         steps += 1
         checks += 1
         if _connected_mask(adj, rest ^ low):
+            # Step 3: descend and record the extended prefix.
             steps += 1
             saved.append((frontier, excluded, blocked))
             v = low.bit_length() - 1
@@ -429,9 +402,17 @@ def _enumerate_ascending(g: Graph) -> EnumerationReport:
             frontier |= adj[v]
             blocked = 0
             found.append(frozenset(stack))
+            if tracing:
+                prefix = tuple(stack)
+                trace.append(TraceEvent(TraceStep.STEP2_CONNECTED, prefix[:-1], v))
+                trace.append(TraceEvent(TraceStep.STEP3_RECORD, prefix, v))
         else:
             blocked |= low
+            if tracing:  # a traced run picks through ``choose``, so ``v`` is set
+                trace.append(TraceEvent(TraceStep.STEP2_DISCONNECTED, tuple(stack), v))
 
+    if tracing:
+        trace.append(TraceEvent(TraceStep.STOP, tuple(stack)))
     stats = RunStats(
         step1_visits=visits,
         connectivity_checks=checks,
@@ -440,7 +421,7 @@ def _enumerate_ascending(g: Graph) -> EnumerationReport:
         steps=steps,
     )
     return EnumerationReport(
-        mcvs=tuple(found), trace=(), stats=stats, status=RunStatus.COMPLETED, graph=g
+        mcvs=tuple(found), trace=tuple(trace), stats=stats, status=status, graph=g
     )
 
 
@@ -510,7 +491,8 @@ def run_yeh_original(
                     take_step3 = True  # records S+{v} although it is no MCV
                 # goto-step4 falls through to the backtracking branch
         else:
-            st.emit(TraceStep.STEP1_EXHAUSTED, None, st.raw_candidates(0))
+            if st.record_trace:
+                st.emit(TraceStep.STEP1_EXHAUSTED, None, st.raw_candidates(0))
 
         if take_step3:
             # Step 3

@@ -55,18 +55,18 @@ def brute_force_mcvs(g: Graph) -> OracleResult:
         raise TooLarge(
             f"{g.node_count} nodes exceeds the exhaustive limit of {MAX_ORACLE_NODES}"
         )
-    free = [v for v in range(g.node_count) if v not in (g.source, g.sink)]
     source_bit = 1 << g.source
+    free = g.full_mask & ~(source_bit | 1 << g.sink)
     mcvs: list[NodeSet] = []
-    for selector in range(1 << len(free)):
-        m = source_bit
-        rest = selector
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            m |= 1 << free[low.bit_length() - 1]
+    # Every submask of ``free`` in increasing order, from 0 to ``free``.
+    sub = 0
+    while True:
+        m = source_bit | sub
         if _is_mcv_mask(g, m):
             mcvs.append(frozenset(_bits(m)))
+        if sub == free:
+            break
+        sub = (sub - free) & free
     return OracleResult(mcvs=frozenset(mcvs), graph=g)
 
 

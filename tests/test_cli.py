@@ -506,10 +506,10 @@ class TestMain:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["--random-orders", "-1"], "random_orders must be non-negative"),
+            (["--random-orders", "-1"], "--random-orders must be non-negative"),
             (
                 ["--min-nodes", "12", "--max-nodes", "12", "--edge-prob", "0.01"],
-                "raise edge_probability",
+                "raise --edge-prob",
             ),
         ],
         ids=["negative-random-orders", "hopeless-edge-prob"],
@@ -522,6 +522,31 @@ class TestMain:
         assert "graph=" not in captured.out
         assert message in captured.err
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "args, flag, field",
+        [
+            (["--count", "0"], "--count", "graph_count"),
+            (["--edge-prob", "2"], "--edge-prob", "edge_probability"),
+            (["--random-orders", "-1"], "--random-orders", "random_orders"),
+            (
+                ["--min-nodes", "12", "--max-nodes", "12", "--edge-prob", "0.01"],
+                "--edge-prob",
+                "edge_probability",
+            ),
+            (["--max-nodes", "13"], "--max-nodes", "max_nodes"),
+        ],
+        ids=["count", "edge-prob", "random-orders", "hopeless-edge-prob", "max-nodes"],
+    )
+    def test_corpus_errors_name_the_flag(self, args, flag, field, capsys):
+        # Before: the message named the library field, e.g. ``graph_count``.
+        code = main(["corpus", "--count", "1", "--seed", "1", *args])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert flag in err
+        assert field not in err
+        assert "Traceback" not in err
 
     def test_usage_error_exit_one(self, capsys):
         code = main(["run", str(FIXTURES / "fig1.edges"), "--algorithm", "nonsense"])

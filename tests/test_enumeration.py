@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import mincuts.enumeration
 from mincuts import EnumerationOptions, build_graph, enumerate_mcvs, prune_irrelevant
 from mincuts.enumeration import (
+    B_POLICIES,
     AscendingOrder,
     PriorityOrder,
     RandomOrder,
@@ -33,6 +34,7 @@ from .conftest import (
     grid_graph_edges,
     label_sets,
 )
+from .step_loop_reference import reference_enumerate_mcvs
 
 
 def _scripted(g, labels):
@@ -240,13 +242,69 @@ class TestBlockedSetPolicies:
             EnumerationOptions(b_policy="bogus")
 
 
-def _assert_lean_matches_step_path(g):
-    # A trace keeps the run on the step-by-step loop.
-    step = enumerate_mcvs(g, EnumerationOptions(record_trace=True))
-    lean = enumerate_mcvs(g)
-    assert lean.mcvs == step.mcvs
-    assert lean.stats == step.stats
-    assert lean.status is step.status is RunStatus.COMPLETED
+def _assert_matches_reference(g, opts):
+    got = enumerate_mcvs(g, opts)
+    want = reference_enumerate_mcvs(g, opts)
+    assert got.mcvs == want.mcvs
+    assert got.trace == want.trace
+    assert got.stats == want.stats
+    assert got.status is want.status
+
+
+def _selects(g, seed):
+    """The picks of a traced reference run in a seeded random order."""
+    opts = EnumerationOptions(RandomOrder(seed), record_trace=True)
+    trace = reference_enumerate_mcvs(g, opts).trace
+    return [e.node for e in trace if e.step is TraceStep.STEP1_SELECT]
+
+
+def _option_grid(g):
+    """Every order kind, both policies, trace on and off.
+
+    The scripts are a random run's picks, whole and cut in half, so one
+    completes and one runs dry.
+    """
+    picks = _selects(g, 5)
+    orders = [
+        AscendingOrder(),
+        RandomOrder(7),
+        PriorityOrder(tuple(reversed(range(g.node_count)))),
+        ScriptedOrder(tuple(picks)),
+        ScriptedOrder(tuple(picks[: len(picks) // 2])),
+    ]
+    return [
+        EnumerationOptions(order, b_policy, record_trace)
+        for order in orders
+        for b_policy in ("scoped", "persistent")
+        for record_trace in (False, True)
+    ]
+
+
+@st.composite
+def run_options(draw, g):
+    """Any selection order, b-policy and trace setting for runs on ``g``.
+
+    Scripts are either a random run's picks cut at any length, so they
+    replay legal steps and may run dry, or arbitrary node lists, which
+    mostly hit an illegal entry early.
+    """
+    n = g.node_count
+    kind = draw(st.sampled_from(["ascending", "random", "priority", "script", "junk"]))
+    if kind == "ascending":
+        order = AscendingOrder()
+    elif kind == "random":
+        order = RandomOrder(draw(st.integers(0, 10**6)))
+    elif kind == "priority":
+        ranking = draw(st.permutations(range(n)))
+        order = PriorityOrder(tuple(ranking[: draw(st.integers(0, n))]))
+    elif kind == "script":
+        picks = _selects(g, draw(st.integers(0, 10**6)))
+        order = ScriptedOrder(tuple(picks[: draw(st.integers(0, len(picks)))]))
+    else:
+        order = ScriptedOrder(tuple(draw(st.lists(st.integers(0, n - 1), max_size=8))))
+    return EnumerationOptions(
+        order, draw(st.sampled_from(B_POLICIES)), draw(st.booleans())
+    )
 
 
 @st.composite
@@ -269,22 +327,24 @@ def sparse_graphs(draw):
 
 
 class TestAnswerPath:
-    """Ascending ``scoped`` untraced runs take the lean bitmask loop.
+    """The bitmask loop against the step-by-step reference loop.
 
-    It must make the same steps as the step loop: same sets in the same
-    order, same ``RunStats``.
+    Under every selection order, b-policy and trace setting, both must make
+    the same steps: same sets in the same order, same trace, same
+    ``RunStats``, same status.
     """
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10**9))
-    def test_matches_step_path_on_corpus_graphs(self, seed):
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 10**9))
+    def test_matches_step_path_on_corpus_graphs(self, data, seed):
         spec = CorpusSpec(graph_count=1, min_nodes=2, max_nodes=12, seed=seed)
-        _assert_lean_matches_step_path(corpus_entries(spec)[0].graph)
+        g = corpus_entries(spec)[0].graph
+        _assert_matches_reference(g, data.draw(run_options(g)))
 
     @settings(max_examples=100, deadline=None)
-    @given(g=sparse_graphs())
-    def test_matches_step_path_on_sparse_graphs(self, g):
-        _assert_lean_matches_step_path(g)
+    @given(data=st.data(), g=sparse_graphs())
+    def test_matches_step_path_on_sparse_graphs(self, data, g):
+        _assert_matches_reference(g, data.draw(run_options(g)))
 
     @pytest.mark.parametrize(
         "edges",
@@ -292,17 +352,22 @@ class TestAnswerPath:
         ids=["grid3x4", "k6"],
     )
     def test_matches_step_path_on_dense_cases(self, edges):
-        _assert_lean_matches_step_path(build_graph(edges, "s", "t"))
+        g = build_graph(edges, "s", "t")
+        for opts in _option_grid(g):
+            _assert_matches_reference(g, opts)
 
-    def test_default_run_skips_the_step_loop(self, monkeypatch):
-        # Guards the dispatch: otherwise the tests above compare the step
-        # loop with itself.
+    def test_no_run_builds_state(self, monkeypatch):
+        # ``_State`` serves only the Yeh replica and the reference loop. If
+        # ``enumerate_mcvs`` built one, the tests above could compare the
+        # reference with itself.
         def no_state(*args):
-            raise AssertionError("step loop used")
+            raise AssertionError("_State built")
 
+        g = build_graph(grid_graph_edges(3, 4), "s", "t")
+        grid = _option_grid(g)
         monkeypatch.setattr(mincuts.enumeration, "_State", no_state)
-        report = enumerate_mcvs(build_graph(grid_graph_edges(3, 4), "s", "t"))
-        assert report.status is RunStatus.COMPLETED
+        statuses = {enumerate_mcvs(g, opts).status for opts in grid}
+        assert statuses == {RunStatus.COMPLETED, RunStatus.SCRIPT_EXHAUSTED}
 
 
 class TestPredecessorStructure:

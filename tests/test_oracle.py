@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mincuts import EnumerationOptions, build_graph, enumerate_mcvs
 from mincuts.enumeration import ScriptedOrder, YehPolicy, run_yeh_original
-from mincuts.graph import cut_edges
+from mincuts.graph import cut_edges, is_mcv
 from mincuts.oracle import MAX_ORACLE_NODES, TooLarge, brute_force_mcvs, diff
 
 from .conftest import (
@@ -19,7 +23,31 @@ from .conftest import (
 )
 
 
+@st.composite
+def small_graphs(draw):
+    """Connected graphs of 2 to 9 nodes: a random tree plus random chords."""
+    n = draw(st.integers(2, 9))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=12)))
+    source, sink = draw(st.permutations(range(n)))[:2]
+    labelled = [(str(a), str(b)) for a, b in sorted(edges)]
+    return build_graph(labelled, str(source), str(sink))
+
+
 class TestBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(g=small_graphs())
+    def test_matches_plain_subset_scan(self, g):
+        free = [v for v in range(g.node_count) if v not in (g.source, g.sink)]
+        expected = {
+            frozenset((g.source, *chosen))
+            for k in range(len(free) + 1)
+            for chosen in combinations(free, k)
+            if is_mcv(g, (g.source, *chosen))
+        }
+        assert brute_force_mcvs(g).mcvs == expected
+
     def test_fig1_nine_results(self, fig1):
         result = brute_force_mcvs(fig1)
         assert label_sets(fig1, result.mcvs) == as_frozen(FIG1_GOLDEN)
