@@ -275,7 +275,7 @@ def _option_grid(g):
     return [
         EnumerationOptions(order, b_policy, record_trace)
         for order in orders
-        for b_policy in ("scoped", "persistent")
+        for b_policy in B_POLICIES
         for record_trace in (False, True)
     ]
 
