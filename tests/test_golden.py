@@ -3,7 +3,8 @@
 Each case runs the CLI once as canonical JSON and once as text with
 ``--emit-cuts``, and compares stdout and the exit code with the files under
 ``tests/golden/``. The files were recorded before the JSON writer streamed
-its output; any change to them is a change of the behaviour contract.
+its output, and the traced replica cases before the replica ran as one
+step loop; any change to them is a change of the behaviour contract.
 
 Re-record (only for an intended output change) with
 ``PYTHONPATH=src python -m tests.test_golden``.
@@ -36,13 +37,22 @@ YEH_STEP3 = (
     "--yeh-policy", "goto-step3",
     "--order", "script:1,3",
 )
+YEH = ("--algorithm", "yeh-original", "--trace", "--yeh-policy")
 
 # (fixture, variant name, flags, exit code)
 CASES = [
     (fixture, name, flags, 0)
     for fixture in ("fig1", "appendage", "path3", "k4")
     for name, flags in VARIANTS.items()
-] + [("fig1", "yeh-goto-step3", YEH_STEP3, 1)]
+] + [
+    ("fig1", "yeh-goto-step3", YEH_STEP3, 1),
+    (
+        "fig1", "yeh-goto-step1-limit",
+        (*YEH, "goto-step1", "--order", "priority:3", "--step-limit", "40"), 3,
+    ),
+    ("fig1", "yeh-goto-step3-trace", (*YEH, "goto-step3"), 0),
+    ("fig1", "yeh-goto-step4-trace", (*YEH, "goto-step4"), 0),
+]
 
 FORMATS = {"json": ("--format", "json"), "txt": ("--emit-cuts",)}
 
