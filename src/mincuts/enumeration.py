@@ -13,8 +13,9 @@ Two engines search with the same state (prefix stack ``S``, remainder
   records ``{s}``, stops one level early, has no ``B`` set, and leaves the
   disconnected case of its step 2 undefined; :class:`YehPolicy` selects
   which of the three possible transfers to take so each documented failure
-  mode can be reproduced on demand. It runs step by step over
-  :class:`_State`, which serves only the replica.
+  mode can be reproduced on demand. It is one loop over the numbered
+  steps on :class:`_State`, the step-by-step state it shares with the
+  tests' step-loop reference of the corrected search.
 
 Both run iteratively with explicit stacks, so deep graphs cannot exhaust
 the call stack.
@@ -220,7 +221,7 @@ class EnumerationReport:
 
 
 class _State:
-    """The replica's mutable search state over bitmasks.
+    """Step-by-step search state over bitmasks, for the replica and tests.
 
     Per-level exclusion sets are plain ints, so the level copy made on
     descent is free and mutation on backtrack cannot leak across levels.
@@ -442,73 +443,57 @@ def run_yeh_original(
       records a set that generates no minimal cut, ``goto-step4`` abandons
       the remaining results.
 
-    Every executed step spends budget; exceeding ``policy.step_limit``
-    aborts with status ``STEP_LIMIT_EXCEEDED`` and partial results. If the
-    root position is exhausted before any descent (level 0), the run stops
-    rather than popping the source, which the original leaves undefined.
+    The run is one loop over steps 1-4; every step, step 0 included,
+    spends one step of budget. The step that would pass
+    ``policy.step_limit`` is not taken: the run aborts with status
+    ``STEP_LIMIT_EXCEEDED`` and partial results, and ``stats.steps`` is
+    the limit plus one. If the root position is exhausted before any
+    descent (level 0), the run stops rather than popping the source,
+    which the original leaves undefined.
     """
     opts = opts or EnumerationOptions()
     choose = _make_chooser(opts.selection_order)
     st = _State(g, opts.record_trace)
-    limit = policy.step_limit
-    if limit is None:
-        limit = 10 * (1 << g.node_count)
-
-    def spend() -> bool:
-        st.stats.steps += 1
-        return st.stats.steps <= limit
-
-    # Step 0: unlike the corrected engine, nothing is recorded here.
-    if not spend():
-        return st.report(RunStatus.STEP_LIMIT_EXCEEDED)
+    limit = policy.step_limit or 10 * (1 << g.node_count)
+    # The step the disconnected branch of step 2 goes to: "goto-stepN" is N.
+    on_disconnected = int(policy.on_disconnected.removeprefix("goto-step"))
+    st.stats.steps = 1  # step 0: unlike the corrected engine, nothing is recorded
     st.emit(TraceStep.STEP0)
-
+    step = 1
     while True:
-        # Step 1 (no blocked set: failed candidates stay eligible).
-        st.stats.step1_visits += 1
-        if not spend():
+        st.stats.step1_visits += step == 1  # counted even if the budget stops it
+        st.stats.steps += 1
+        if st.stats.steps > limit:
             return st.report(RunStatus.STEP_LIMIT_EXCEEDED)
-        candidates = st.legal_candidates(0)
-        take_step3 = False
-        if candidates:
+        if step == 1:  # no blocked set: failed candidates stay eligible
+            candidates = st.legal_candidates(0)
+            if not candidates:
+                if st.record_trace:
+                    st.emit(TraceStep.STEP1_EXHAUSTED, None, st.raw_candidates(0))
+                step = 4
+                continue
             v = choose(candidates)
             if v is None:
                 st.emit(TraceStep.STOP)
                 return st.report(RunStatus.SCRIPT_EXHAUSTED)
             st.emit(TraceStep.STEP1_SELECT, v, candidates)
-
-            # Step 2
-            if not spend():
-                return st.report(RunStatus.STEP_LIMIT_EXCEEDED)
+            step = 2
+        elif step == 2:
             if st.remainder_connected_without(v):
                 st.emit(TraceStep.STEP2_CONNECTED, v)
-                take_step3 = True
+                step = 3
             else:
                 st.emit(TraceStep.STEP2_DISCONNECTED, v)
-                if policy.on_disconnected == "goto-step1":
-                    continue  # v stays selectable: the non-terminating transfer
-                if policy.on_disconnected == "goto-step3":
-                    take_step3 = True  # records S+{v} although it is no MCV
-                # goto-step4 falls through to the backtracking branch
-        else:
-            if st.record_trace:
-                st.emit(TraceStep.STEP1_EXHAUSTED, None, st.raw_candidates(0))
-
-        if take_step3:
-            # Step 3
-            if not spend():
-                return st.report(RunStatus.STEP_LIMIT_EXCEEDED)
+                step = on_disconnected
+        elif step == 3:
             st.descend(v)
             st.record()
             st.stats.records += 1
             st.emit(TraceStep.STEP3_RECORD, v)
-            continue
-
-        # Step 4 with the original early stopping rule (level 1, not 0).
-        if not spend():
-            return st.report(RunStatus.STEP_LIMIT_EXCEEDED)
-        if len(st.stack) <= 2:
-            st.emit(TraceStep.STOP)
-            return st.report(RunStatus.COMPLETED)
-        u = st.backtrack()
-        st.emit(TraceStep.STEP4_BACKTRACK, u)
+            step = 1
+        else:  # step 4, with the original early stopping rule (level 1, not 0)
+            if len(st.stack) <= 2:
+                st.emit(TraceStep.STOP)
+                return st.report(RunStatus.COMPLETED)
+            st.emit(TraceStep.STEP4_BACKTRACK, st.backtrack())
+            step = 1

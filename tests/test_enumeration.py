@@ -10,6 +10,7 @@ import mincuts.enumeration
 from mincuts import EnumerationOptions, build_graph, enumerate_mcvs, prune_irrelevant
 from mincuts.enumeration import (
     B_POLICIES,
+    YEH_POLICIES,
     AscendingOrder,
     PriorityOrder,
     RandomOrder,
@@ -439,6 +440,29 @@ class TestYehOriginalReplica:
         )
         assert report.status is RunStatus.STEP_LIMIT_EXCEEDED
         assert report.stats.steps == 10 * 2 ** fig1.node_count + 1
+
+    def test_every_budget_exit_cuts_the_unbounded_run_short(self):
+        # A budget of k steps stops the run at its (k+1)-th step, having
+        # done exactly what the unbounded run had done by then.
+        spec = CorpusSpec(graph_count=16, min_nodes=4, max_nodes=7, seed=1)
+        truncated = 0
+        for entry in corpus_entries(spec):
+            g = entry.graph
+            for transfer in YEH_POLICIES:
+                for order in (AscendingOrder(), RandomOrder(entry.seed)):
+                    opts = EnumerationOptions(order, record_trace=True)
+                    full = run_yeh_original(g, YehPolicy(transfer), opts)
+                    for k in range(1, full.stats.steps):
+                        cut = run_yeh_original(g, YehPolicy(transfer, k), opts)
+                        assert cut.status is RunStatus.STEP_LIMIT_EXCEEDED
+                        assert cut.stats.steps == k + 1
+                        assert cut.trace == full.trace[: len(cut.trace)]
+                        assert cut.mcvs == full.mcvs[: len(cut.mcvs)]
+                        truncated += 1
+                    if full.status is RunStatus.COMPLETED:
+                        exact = YehPolicy(transfer, full.stats.steps)
+                        assert run_yeh_original(g, exact, opts).stats == full.stats
+        assert truncated > 1000
 
     def test_root_set_never_recorded(self):
         g = build_graph([("s", "t")], "s", "t")
