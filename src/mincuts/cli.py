@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .corpus import CorpusSpec, run_corpus
+from .corpus import RANDOM_ORDERS, CorpusSpec, run_corpus
 from .enumeration import (
     B_POLICIES,
     YEH_POLICIES,
@@ -61,6 +61,7 @@ _CORPUS_FLAGS = {
     "max_nodes": "--max-nodes",
     "edge_probability": "--edge-prob",
     "random_orders": "--random-orders",
+    "out_dir": "--out-dir",
 }
 
 
@@ -125,6 +126,8 @@ def _validate(config: RunConfig) -> None:
         raise UsageError("--yeh-policy only applies to --algorithm yeh-original")
     if config.step_limit is not None and config.algorithm != "yeh-original":
         raise UsageError("--step-limit only applies to --algorithm yeh-original")
+    if config.all_sinks and config.sink is not None:
+        raise UsageError("--sink cannot be combined with --all-sinks")
 
 
 def _parse_order(spec: str, g: Graph) -> SelectionOrder:
@@ -538,7 +541,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    """The ``run`` options are :class:`RunConfig`'s fields, defaults included."""
+    """The ``run`` options are :class:`RunConfig`'s fields, defaults included;
+    the ``corpus`` defaults bar ``--count`` and ``--seed`` are :class:`CorpusSpec`'s."""
     parser = _Parser(prog="mincuts", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -581,14 +585,14 @@ def _build_parser() -> _Parser:
         "corpus", help="differential-test random graphs against the oracle"
     )
     p_corpus.add_argument("--count", type=int, default=1000)
-    p_corpus.add_argument("--min-nodes", type=int, default=4)
-    p_corpus.add_argument("--max-nodes", type=int, default=10)
-    p_corpus.add_argument("--edge-prob", type=float, default=0.35)
+    p_corpus.add_argument("--min-nodes", type=int, default=CorpusSpec.min_nodes)
+    p_corpus.add_argument("--max-nodes", type=int, default=CorpusSpec.max_nodes)
+    p_corpus.add_argument("--edge-prob", type=float, default=CorpusSpec.edge_probability)
     p_corpus.add_argument("--seed", type=int, default=42)
     p_corpus.add_argument(
-        "--prune", action=argparse.BooleanOptionalAction, default=True
+        "--prune", action=argparse.BooleanOptionalAction, default=CorpusSpec.prune
     )
-    p_corpus.add_argument("--random-orders", type=int, default=3)
+    p_corpus.add_argument("--random-orders", type=int, default=RANDOM_ORDERS)
     p_corpus.add_argument(
         "--b-policies",
         default=",".join(B_POLICIES),

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 MAX_CORPUS_NODES = 12
+# Seeded random orders per graph and b-policy, besides the ascending one.
+RANDOM_ORDERS = 3
 # Draws per graph before the generator gives up on an edge probability too
 # low to make connected graphs; the default corpus needs at most about 20.
 MAX_GRAPH_DRAWS = 10_000
@@ -183,7 +185,7 @@ def run_corpus(
     spec: CorpusSpec,
     *,
     b_policies: Sequence[str] = B_POLICIES,
-    random_orders: int = 3,
+    random_orders: int = RANDOM_ORDERS,
     out_dir: str | Path | None = None,
     out: TextIO | None = None,
 ) -> CorpusRunResult:
@@ -196,8 +198,8 @@ def run_corpus(
     mismatch was shrunk to an artifact, the file it was written to
     (requires ``out_dir``). Artifacts are edge-list files replayable with
     the same policy and order that exposed the disagreement. An empty or
-    unknown ``b_policies``, or a negative ``random_orders``, raises
-    ``ValueError`` before any graph runs.
+    unknown ``b_policies``, a negative ``random_orders`` or an unusable
+    ``out_dir`` raises ``ValueError`` before any graph runs.
     """
     if not b_policies:
         raise ValueError("no b-policy given")
@@ -209,7 +211,10 @@ def run_corpus(
     mismatches = 0
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot create out_dir: {exc.strerror}") from None
 
     for entry in corpus_entries(spec):
         g = entry.graph

@@ -231,8 +231,8 @@ def test_awkward_labels_stream_canonical_json(tmp_path, graph, all_sinks, algori
     source, sink, edges = graph
     path = tmp_path / "awkward.edges"
     path.write_text("".join(f"{a} {b}\n" for a, b in edges), encoding="utf-8")
-    config = RunConfig(str(path), source=source, sink=sink, algorithm=algorithm,
-                       all_sinks=all_sinks, output_format="json")
+    config = RunConfig(str(path), source=source, sink=None if all_sinks else sink,
+                       algorithm=algorithm, all_sinks=all_sinks, output_format="json")
     code, out, _ = _run(config)
     assert code == EXIT_OK
     payload = json.loads(out)
@@ -378,6 +378,14 @@ class TestUsageErrors:
         code, _, _ = _run(config)
         assert code == EXIT_USAGE
 
+    def test_sink_rejected_with_all_sinks(self):
+        # Before: --sink was silently ignored and the run exited 0.
+        config = RunConfig(str(FIXTURES / "fig1.edges"), sink="3", all_sinks=True)
+        code, out, err = _run(config)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--sink" in err and "--all-sinks" in err
+
     def test_unreadable_file(self):
         code, _, err = _run(RunConfig("does-not-exist.edges"))
         assert code == EXIT_USAGE
@@ -522,6 +530,16 @@ class TestMain:
         assert "graph=" not in captured.out
         assert message in captured.err
         assert captured.err.startswith("error: ")
+
+    def test_corpus_out_dir_on_a_file_exits_one(self, tmp_path, capsys):
+        # Before: the run ended in a FileExistsError traceback.
+        path = tmp_path / "taken"
+        path.write_text("")
+        code = main(["corpus", "--count", "1", "--seed", "1", "--out-dir", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "graph=" not in captured.out
+        assert captured.err == "error: cannot create --out-dir: File exists\n"
 
     @pytest.mark.parametrize(
         "args, flag, field",
