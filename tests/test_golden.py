@@ -3,8 +3,10 @@
 Each case runs the CLI once as canonical JSON and once as text with
 ``--emit-cuts``, and compares stdout and the exit code with the files under
 ``tests/golden/``. The files were recorded before the JSON writer streamed
-its output, and the traced replica cases before the replica ran as one
-step loop; any change to them is a change of the behaviour contract.
+its output, the traced replica cases before the replica ran as one
+step loop, and the two mismatching oracle comparisons before text rows
+were joined from the JSON writer's fragments; any change to them is a
+change of the behaviour contract.
 
 Re-record (only for an intended output change) with
 ``PYTHONPATH=src python -m tests.test_golden``.
@@ -52,6 +54,12 @@ CASES = [
     ),
     ("fig1", "yeh-goto-step3-trace", (*YEH, "goto-step3"), 0),
     ("fig1", "yeh-goto-step4-trace", (*YEH, "goto-step4"), 0),
+    ("appendage", "no-prune-compare-oracle", ("--no-prune", "--compare-oracle"), 2),
+    (
+        "fig1", "yeh-goto-step3-compare-oracle",
+        ("--algorithm", "yeh-original", "--yeh-policy", "goto-step3", "--compare-oracle"),
+        2,
+    ),
 ]
 
 FORMATS = {"json": ("--format", "json"), "txt": ("--emit-cuts",)}
