@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -34,15 +35,8 @@ from .enumeration import (
     enumerate_mcvs,
     run_yeh_original,
 )
-from .graph import (
-    Graph,
-    NodeSet,
-    build_graph,
-    cut_edges,
-    format_cut,
-    format_node_set,
-    prune_irrelevant,
-)
+# No row uses cut_edges; perfbench/tracing.py wraps it here and tests/test_surface.py checks it.
+from .graph import Graph, NodeSet, build_graph, cut_edges, prune_irrelevant
 from .oracle import DiffReport, OracleResult, brute_force_mcvs, diff
 
 __all__ = ["ParseError", "RunConfig", "UsageError", "main", "parse_edge_list", "run"]
@@ -198,33 +192,35 @@ def _execute(
             g = prune.pruned_graph
 
     report: EnumerationReport | None = None
-    oracle: OracleResult | None = None
     comparison = None
     code = EXIT_OK
-
-    if config.algorithm == "oracle":
-        oracle = brute_force_mcvs(g)
-    else:
+    if config.algorithm != "oracle":
         opts = EnumerationOptions(
             selection_order=_parse_order(config.order, g),
             b_policy=config.b_policy,  # type: ignore[arg-type]
             record_trace=config.trace,
         )
+        if config.algorithm == "yeh-original":
+            policy = YehPolicy(config.yeh_policy, config.step_limit)  # type: ignore[arg-type]
+    # After the options are checked and before the search, so a bad option
+    # wastes no scan and a graph past the oracle's limit no search.
+    oracle = (
+        brute_force_mcvs(g)
+        if config.algorithm == "oracle" or config.compare_oracle else None
+    )
+    if config.algorithm != "oracle":
         if config.algorithm == "corrected":
             report = enumerate_mcvs(g, opts)
         else:
-            policy = YehPolicy(config.yeh_policy, config.step_limit)  # type: ignore[arg-type]
             report = run_yeh_original(g, policy, opts)
         if report.status is RunStatus.STEP_LIMIT_EXCEEDED:
             code = EXIT_STEP_LIMIT
         elif report.status is RunStatus.SCRIPT_EXHAUSTED:
             code = EXIT_USAGE
-
-    if config.compare_oracle and report is not None:
-        oracle = brute_force_mcvs(g)
-        comparison = diff(report, oracle, g)
-        if not comparison.agree:
-            code = max(code, EXIT_MISMATCH)
+        if oracle is not None:
+            comparison = diff(report, oracle, g)
+            if not comparison.agree:
+                code = max(code, EXIT_MISMATCH)
 
     return _SinkRun(g, pruned_labels, report, oracle, comparison, code)
 
@@ -268,13 +264,11 @@ def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
     if run.report is not None:
         print(f"status: {run.report.status.value}", file=out)
 
-    sets = _mcv_sets(run)
+    sets, rows = _mcv_sets(run), _RowFragments(g, None)
     print(f"mcvs ({len(sets)}):", file=out)
     for u in sets:
-        line = f"  {format_node_set(g, u)}"
-        if config.emit_cuts:
-            line += f"  cut {format_cut(g, cut_edges(g, u))}"
-        print(line, file=out)
+        cut = f"  cut {rows.cut(u)}" if config.emit_cuts else ""
+        print(f"  {rows.mcv(u)}{cut}", file=out)
 
     if run.report is not None:
         st = run.report.stats
@@ -287,11 +281,11 @@ def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
         if config.trace:
             print("trace:", file=out)
             for ev in run.report.trace:
-                parts = [ev.step.value, f"prefix={format_node_set(g, ev.prefix)}"]
+                parts = [ev.step.value, f"prefix={rows.mcv(frozenset(ev.prefix))}"]
                 if ev.node is not None:
                     parts.append(f"node={g.node_names[ev.node]}")
                 if ev.candidates:
-                    parts.append(f"candidates={format_node_set(g, ev.candidates)}")
+                    parts.append(f"candidates={rows.mcv(frozenset(ev.candidates))}")
                 print("  " + " ".join(parts), file=out)
 
     if run.comparison is not None:
@@ -304,7 +298,7 @@ def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
                 ("spurious", run.comparison.spurious),
             ):
                 for u in sorted(group, key=lambda u: _labels_sorted(g, u)):
-                    print(f"  {name}: {format_node_set(g, u)}", file=out)
+                    print(f"  {name}: {rows.mcv(u)}", file=out)
 
 
 def _json_fields(run: _SinkRun, config: RunConfig) -> dict:
@@ -368,18 +362,27 @@ def _indent(level: int) -> str:
 
 
 class _RowFragments:
-    """One graph's node labels and edges, pre-rendered as JSON at row depth.
+    """One graph's node labels and edges, pre-rendered once for every row.
 
-    An ``mcvs`` row is the join of the fragments of the nodes in its set, a
-    ``cuts`` row the join of the fragments of the edges with exactly one end
-    in it. Fragments are ranked by label and by sorted label pair, so each
-    row comes out sorted as ``json.dumps`` of the sorted label lists would.
-    A ``trace`` row is an object whose label lists keep the event's order.
+    A set row (``mcvs``, a trace's prefix or candidates, an oracle diff) is
+    the join of the fragments of the nodes in its set, a ``cuts`` row the
+    join of the fragments of the edges with exactly one end in it. Text
+    ranks fragments by index and writes ``{s,1}`` and ``{s-2, 1-3}``. JSON
+    ranks them by label and by sorted label pair, so each row comes out as
+    ``json.dumps`` of the sorted label lists would at the rows' ``level``.
+    No row is empty: a set holds the source and not the sink of a connected
+    graph. A JSON ``trace`` row is an object whose label lists keep the
+    event's order.
     """
 
-    def __init__(self, g: Graph, level: int) -> None:
-        """``level`` is the nesting level of the rows themselves."""
+    def __init__(self, g: Graph, level: int | None) -> None:
+        """``level`` is the JSON nesting level of the rows; ``None`` is text."""
         names = g.node_names
+        if level is None:
+            self._nodes = list(enumerate(names))
+            self._edges = [(u, v, f"{names[u]}-{names[v]}") for u, v in sorted(g.edges)]
+            self._open, self._node_sep, self._edge_sep, self._close = "{", ",", ", ", "}"
+            return
         label = [encode_basestring_ascii(x) for x in names]
         item, inner = _indent(level + 1), _indent(level + 2)
         by_label = sorted(range(len(names)), key=names.__getitem__)
@@ -395,16 +398,16 @@ class _RowFragments:
             for u, v in ends
         ]
         self._end = _indent(level)
+        self._open, self._node_sep, self._edge_sep = "[", ",", ","
         self._close = self._end + "]"
 
-    def _row(self, fragments: list[str]) -> str:
-        return "[" + ",".join(fragments) + self._close if fragments else "[]"
-
     def mcv(self, u: NodeSet) -> str:
-        return self._row([frag for v, frag in self._nodes if v in u])
+        body = self._node_sep.join([frag for v, frag in self._nodes if v in u])
+        return self._open + body + self._close
 
     def cut(self, u: NodeSet) -> str:
-        return self._row([frag for a, b, frag in self._edges if (a in u) != (b in u)])
+        body = self._edge_sep.join([f for a, b, f in self._edges if (a in u) != (b in u)])
+        return self._open + body + self._close
 
     def _labels(self, nodes: tuple[int, ...]) -> str:
         """A label list in the given order, one level below the row's keys."""
@@ -488,7 +491,7 @@ def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None)
     try:
         _validate(config)
         try:
-            text = Path(config.input_path).read_text(encoding="utf-8")
+            text = Path(config.input_path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {config.input_path}: {exc}") from None
         pairs = parse_edge_list(text)
@@ -610,7 +613,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         ns = parser.parse_args(argv)
         if ns.command == "run":
             del ns.command
-            return run(RunConfig(**vars(ns)))
+            code = run(RunConfig(**vars(ns)))
+            sys.stdout.flush()  # a reader that left early fails here, not at exit
+            return code
         try:
             spec = CorpusSpec(
                 graph_count=ns.count,
@@ -635,8 +640,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(
             f"# {result.graphs} graphs, {result.mismatches} mismatch(es)",
             file=sys.stdout,
+            flush=True,
         )
         return EXIT_OK if result.all_agree else EXIT_MISMATCH
+    except BrokenPipeError:
+        # Stdout's reader is gone (``| head``): send what is still buffered
+        # to devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,8 +32,6 @@ __all__ = [
     "boundary_nodes",
     "build_graph",
     "cut_edges",
-    "format_cut",
-    "format_node_set",
     "is_connected",
     "is_mcv",
     "prune_irrelevant",
@@ -321,14 +319,3 @@ def prune_irrelevant(g: Graph) -> PruneReport:
     ]
     pruned = build_graph(surviving, g.node_names[s], g.node_names[t])
     return PruneReport(removed_nodes, pruned)
-
-
-def format_node_set(g: Graph, nodes: Iterable[int]) -> str:
-    """Render a node set as ``{s,1,2}`` with members in index order."""
-    return "{" + ",".join(g.label_set(nodes)) + "}"
-
-
-def format_cut(g: Graph, cut: Iterable[Edge]) -> str:
-    """Render a cut as ``{s-1, s-2}`` with edges in index order."""
-    parts = [f"{g.node_names[u]}-{g.node_names[v]}" for u, v in sorted(cut)]
-    return "{" + ", ".join(parts) + "}"

@@ -16,11 +16,16 @@ import mincuts.cli
 import mincuts.enumeration
 import mincuts.oracle
 from mincuts import (
+    CorpusSpec,
+    EnumerationOptions,
     brute_force_mcvs,
     build_graph,
+    corpus_entries,
+    diff,
     enumerate_mcvs,
     prune_irrelevant,
 )
+from mincuts.enumeration import RunStatus, YehPolicy, run_yeh_original
 from mincuts.graph import cut_edges
 from mincuts.cli import (
     EXIT_MISMATCH,
@@ -120,6 +125,19 @@ class TestRunCorrected:
         assert "trace:" in out
         assert "step0" in out and "stop" in out
 
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_utf8_bom_is_ignored(self, tmp_path, output_format):
+        plain = (FIXTURES / "fig1.edges").read_bytes()
+        path = tmp_path / "bom.edges"
+        path.write_bytes(b"\xef\xbb\xbf" + plain)
+        configs = [
+            RunConfig(str(p), emit_cuts=True, output_format=output_format)
+            for p in (path, FIXTURES / "fig1.edges")
+        ]
+        with_bom, without = (_run(c) for c in configs)
+        assert with_bom == without
+        assert with_bom[0] == EXIT_OK
+
 
 class TestRunJson:
     def test_canonical_round_trip(self):
@@ -177,11 +195,11 @@ class TestRunJson:
             dict(output_format="json", algorithm="oracle"),
             dict(output_format="json", all_sinks=True),
             dict(compare_oracle=True),
+            dict(emit_cuts=True, trace=True, compare_oracle=True, all_sinks=True),
         ],
     )
     def test_builds_no_cut_objects(self, monkeypatch, options):
-        # JSON cut rows come from pre-rendered edges; text without
-        # --emit-cuts never reads a cut.
+        # Text and JSON cut rows are both joined from pre-rendered edges.
         def refuse(*args):
             raise AssertionError("cut_edges called")
 
@@ -254,6 +272,85 @@ def test_awkward_labels_stream_canonical_json(tmp_path, graph, all_sinks, algori
             report = enumerate_mcvs(g)
             sets, cuts = report.mcvs, report.cuts
         assert (got["mcvs"], got["cuts"]) == _label_rows(g, sets, cuts)
+
+
+def _text_set(g, u):
+    return "{" + ",".join(g.node_names[v] for v in sorted(u)) + "}"
+
+
+def _text_cut(g, u):
+    crossing = sorted((a, b) for a, b in g.edges if (a in u) != (b in u))
+    return "{" + ", ".join(f"{g.node_names[a]}-{g.node_names[b]}" for a, b in crossing) + "}"
+
+
+def _text_rows(g, report, oracle):
+    """The indented rows of one run's text report, rendered from its parts:
+    labels in index order, edges as ``u-v`` sorted by index."""
+    rows = [f"  {_text_set(g, u)}  cut {_text_cut(g, u)}" for u in report.mcvs]
+    for ev in report.trace:
+        parts = [ev.step.value, f"prefix={_text_set(g, ev.prefix)}"]
+        if ev.node is not None:
+            parts.append(f"node={g.node_names[ev.node]}")
+        if ev.candidates:
+            parts.append(f"candidates={_text_set(g, ev.candidates)}")
+        rows.append("  " + " ".join(parts))
+    comparison = diff(report, oracle, g)
+    for name, group in (("missing", comparison.missing), ("spurious", comparison.spurious)):
+        for u in sorted(group, key=lambda u: sorted(g.node_names[v] for v in u)):
+            rows.append(f"  {name}: {_text_set(g, u)}")
+    return rows
+
+
+@st.composite
+def _relabelled_corpus_graphs(draw):
+    """(source, edges): a corpus graph under awkward labels, its edge lines
+    shuffled so that index order differs from the corpus graph's."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = corpus_entries(CorpusSpec(1, min_nodes=3, max_nodes=8, seed=seed))[0].graph
+    labels = draw(st.lists(_LABELS, min_size=g.node_count, max_size=g.node_count,
+                           unique=True))
+    edges = draw(st.permutations(sorted(g.edges)))
+    return labels[g.source], [(labels[a], labels[b]) for a, b in edges]
+
+
+# Both b-policies of the corrected search, then the replica's transfers:
+# the persistent policy and the replica give missing and spurious rows.
+_ENGINES = ["scoped", "persistent", "goto-step1", "goto-step3", "goto-step4"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=_relabelled_corpus_graphs(), engine=st.sampled_from(_ENGINES),
+       prune=st.booleans())
+def test_text_rows_render_labels_in_index_order(tmp_path, graph, engine, prune):
+    source, edges = graph
+    path = tmp_path / "awkward.edges"
+    path.write_text("".join(f"{a} {b}\n" for a, b in edges), encoding="utf-8")
+    yeh = engine.startswith("goto")
+    config = RunConfig(
+        str(path), source=source, all_sinks=True, prune=prune, emit_cuts=True,
+        trace=True, compare_oracle=True,
+        **(dict(algorithm="yeh-original", yeh_policy=engine) if yeh else dict(b_policy=engine)),
+    )
+    code, out, _ = _run(config)
+
+    expected, codes = [], []
+    for sink in [x for x in dict.fromkeys(x for e in edges for x in e) if x != source]:
+        g = build_graph(edges, source, sink)
+        if prune:
+            g = prune_irrelevant(g).pruned_graph
+        if yeh:
+            opts = EnumerationOptions(record_trace=True)
+            report = run_yeh_original(g, YehPolicy(engine), opts)  # type: ignore[arg-type]
+        else:
+            report = enumerate_mcvs(g, EnumerationOptions(b_policy=engine, record_trace=True))
+        oracle = brute_force_mcvs(g)
+        expected += _text_rows(g, report, oracle)
+        limit = report.status is RunStatus.STEP_LIMIT_EXCEEDED
+        agree = diff(report, oracle, g).agree
+        codes.append(max(EXIT_STEP_LIMIT if limit else EXIT_OK, EXIT_OK if agree else EXIT_MISMATCH))
+    assert code == max(codes)
+    assert [line for line in out.splitlines() if line.startswith("  ")] == expected
 
 
 class TestYehRuns:
@@ -457,6 +554,36 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "exhaustive limit" in err
 
+    def test_oracle_guard_runs_before_the_search(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("searched a graph the oracle cannot check")
+
+        monkeypatch.setattr(mincuts.cli, "enumerate_mcvs", refuse)
+        path = tmp_path / "long.edges"
+        names = ["s"] + [str(i) for i in range(1, 24)] + ["t"]
+        path.write_text("".join(f"{a} {b}\n" for a, b in zip(names, names[1:])))
+        code, out, err = _run(RunConfig(str(path), compare_oracle=True))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "error: 25 nodes exceeds the exhaustive limit of 24" in err
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(order="bogus"), "bad order spec"),
+            (dict(algorithm="yeh-original", yeh_policy="goto-step1", step_limit=0),
+             "step_limit must be positive"),
+        ],
+    )
+    def test_bad_option_fails_before_the_oracle_scan(self, monkeypatch, fields, message):
+        def refuse(*args):
+            raise AssertionError("scanned before the options were checked")
+
+        monkeypatch.setattr(mincuts.cli, "brute_force_mcvs", refuse)
+        config = RunConfig(str(FIXTURES / "fig1.edges"), compare_oracle=True, **fields)
+        code, out, err = _run(config)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err
+
 
 class TestMain:
     def test_run_subcommand(self, capsys):
@@ -583,6 +710,42 @@ class TestMain:
         assert "mcvs (4):" in capsys.readouterr().out
 
 
+def _cli_env():
+    src = os.path.dirname(os.path.dirname(mincuts.cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "GRID", "--format", "json"],
+        ["run", "GRID", "--emit-cuts"],
+        ["corpus", "--count", "4000", "--min-nodes", "2", "--max-nodes", "3",
+         "--random-orders", "0", "--b-policies", "scoped"],
+    ],
+    ids=["json", "text", "corpus"],
+)
+def test_closed_stdout_exits_one_quietly(tmp_path, args):
+    # Each command writes at least 190 KB, more than a pipe holds, so the
+    # reader's early close must reach the writer.
+    name = lambda i, j: {(0, 0): "s", (3, 5): "t"}.get((i, j), f"n{i}_{j}")
+    grid = [(name(i, j), name(i + a, j + b))
+            for i in range(4) for j in range(6) for a, b in ((0, 1), (1, 0))
+            if i + a < 4 and j + b < 6]
+    path = tmp_path / "grid.edges"
+    path.write_text("".join(f"{a} {b}\n" for a, b in grid))
+    argv = [str(path) if x == "GRID" else x for x in args]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mincuts.cli", *argv], env=_cli_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    code = proc.wait(timeout=60)  # a traceback fits the stderr pipe
+    with proc.stderr:
+        assert (code, proc.stderr.read()) == (EXIT_USAGE, b"")
+
+
 def test_cli_run_imports_no_networkx():
     # The package has no runtime dependencies; keep it that way.
     script = (
@@ -591,11 +754,8 @@ def test_cli_run_imports_no_networkx():
         "assert code == 0, code\n"
         "assert 'networkx' not in sys.modules\n"
     )
-    src = os.path.dirname(os.path.dirname(mincuts.cli.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        [sys.executable, "-c", script], env=_cli_env(), capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
     assert "mcvs (9):" in result.stdout
