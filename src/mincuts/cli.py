@@ -281,11 +281,11 @@ def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
         if config.trace:
             print("trace:", file=out)
             for ev in run.report.trace:
-                parts = [ev.step.value, f"prefix={rows.mcv(frozenset(ev.prefix))}"]
+                parts = [ev.step.value, f"prefix={rows.mcv(ev.prefix)}"]
                 if ev.node is not None:
                     parts.append(f"node={g.node_names[ev.node]}")
                 if ev.candidates:
-                    parts.append(f"candidates={rows.mcv(frozenset(ev.candidates))}")
+                    parts.append(f"candidates={rows.mcv(ev.candidates)}")
                 print("  " + " ".join(parts), file=out)
 
     if run.comparison is not None:
@@ -379,14 +379,15 @@ class _RowFragments:
         """``level`` is the JSON nesting level of the rows; ``None`` is text."""
         names = g.node_names
         if level is None:
-            self._nodes = list(enumerate(names))
+            self._rank, self._nodes = None, names
             self._edges = [(u, v, f"{names[u]}-{names[v]}") for u, v in sorted(g.edges)]
             self._open, self._node_sep, self._edge_sep, self._close = "{", ",", ", ", "}"
             return
         label = [encode_basestring_ascii(x) for x in names]
         item, inner = _indent(level + 1), _indent(level + 2)
         by_label = sorted(range(len(names)), key=names.__getitem__)
-        self._nodes = [(v, item + label[v]) for v in by_label]
+        self._rank = {v: r for r, v in enumerate(by_label)}.__getitem__
+        self._nodes = [item + x for x in label]
         self._label, self._item = label, item
         self._deep = [inner + x for x in label]
         ends = sorted(
@@ -398,11 +399,10 @@ class _RowFragments:
             for u, v in ends
         ]
         self._end = _indent(level)
-        self._open, self._node_sep, self._edge_sep = "[", ",", ","
-        self._close = self._end + "]"
+        self._open, self._node_sep, self._edge_sep, self._close = "[", ",", ",", self._end + "]"
 
-    def mcv(self, u: NodeSet) -> str:
-        body = self._node_sep.join([frag for v, frag in self._nodes if v in u])
+    def mcv(self, u: Iterable[int]) -> str:
+        body = self._node_sep.join([self._nodes[v] for v in sorted(u, key=self._rank)])
         return self._open + body + self._close
 
     def cut(self, u: NodeSet) -> str:
