@@ -283,7 +283,7 @@ def _text_cut(g, u):
     return "{" + ", ".join(f"{g.node_names[a]}-{g.node_names[b]}" for a, b in crossing) + "}"
 
 
-def _text_rows(g, report, oracle):
+def _text_rows(g, report, comparison):
     """The indented rows of one run's text report, rendered from its parts:
     labels in index order, edges as ``u-v`` sorted by index."""
     rows = [f"  {_text_set(g, u)}  cut {_text_cut(g, u)}" for u in report.mcvs]
@@ -294,7 +294,6 @@ def _text_rows(g, report, oracle):
         if ev.candidates:
             parts.append(f"candidates={_text_set(g, ev.candidates)}")
         rows.append("  " + " ".join(parts))
-    comparison = diff(report, oracle, g)
     for name, group in (("missing", comparison.missing), ("spurious", comparison.spurious)):
         for u in sorted(group, key=lambda u: sorted(g.node_names[v] for v in u)):
             rows.append(f"  {name}: {_text_set(g, u)}")
@@ -344,11 +343,11 @@ def test_text_rows_render_labels_in_index_order(tmp_path, graph, engine, prune):
             report = run_yeh_original(g, YehPolicy(engine), opts)  # type: ignore[arg-type]
         else:
             report = enumerate_mcvs(g, EnumerationOptions(b_policy=engine, record_trace=True))
-        oracle = brute_force_mcvs(g)
-        expected += _text_rows(g, report, oracle)
+        comparison = diff(report, brute_force_mcvs(g), g)
+        expected += _text_rows(g, report, comparison)
         limit = report.status is RunStatus.STEP_LIMIT_EXCEEDED
-        agree = diff(report, oracle, g).agree
-        codes.append(max(EXIT_STEP_LIMIT if limit else EXIT_OK, EXIT_OK if agree else EXIT_MISMATCH))
+        codes.append(max(EXIT_STEP_LIMIT if limit else EXIT_OK,
+                         EXIT_OK if comparison.agree else EXIT_MISMATCH))
     assert code == max(codes)
     assert [line for line in out.splitlines() if line.startswith("  ")] == expected
 
