@@ -3,10 +3,11 @@
 Each case runs the CLI once as canonical JSON and once as text with
 ``--emit-cuts``, and compares stdout and the exit code with the files under
 ``tests/golden/``. The files were recorded before the JSON writer streamed
-its output, the traced replica cases before the replica ran as one
-step loop, and the two mismatching oracle comparisons before text rows
-were joined from the JSON writer's fragments; any change to them is a
-change of the behaviour contract.
+its output, the traced replica cases on ``fig1`` before the replica ran
+as one step loop, the two mismatching oracle comparisons before text rows
+were joined from the JSON writer's fragments, and the unpruned replica
+cases on ``appendage`` before the replica kept its state in locals; any
+change to them is a change of the behaviour contract.
 
 Re-record (only for an intended output change) with
 ``PYTHONPATH=src python -m tests.test_golden``.
@@ -54,6 +55,12 @@ CASES = [
     ),
     ("fig1", "yeh-goto-step3-trace", (*YEH, "goto-step3"), 0),
     ("fig1", "yeh-goto-step4-trace", (*YEH, "goto-step4"), 0),
+    # Unpruned, ``a`` and ``b`` hang off ``s``: step 1 re-selects ``a`` until
+    # the default budget stops it, step 3 records ``{s,a}`` although
+    # ``{b,t}`` is disconnected, and step 4 stops at the root ``{s}``.
+    ("appendage", "no-prune-yeh-goto-step1-trace", ("--no-prune", *YEH, "goto-step1"), 3),
+    ("appendage", "no-prune-yeh-goto-step3-trace", ("--no-prune", *YEH, "goto-step3"), 0),
+    ("appendage", "no-prune-yeh-goto-step4-trace", ("--no-prune", *YEH, "goto-step4"), 0),
     ("appendage", "no-prune-compare-oracle", ("--no-prune", "--compare-oracle"), 2),
     (
         "fig1", "yeh-goto-step3-compare-oracle",
