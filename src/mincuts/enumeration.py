@@ -14,8 +14,7 @@ Two engines search with the same state (prefix stack ``S``, remainder
   disconnected case of its step 2 undefined; :class:`YehPolicy` selects
   which of the three possible transfers to take so each documented failure
   mode can be reproduced on demand. It is one loop over the numbered
-  steps on :class:`_State`, the step-by-step state it shares with the
-  tests' step-loop reference of the corrected search.
+  steps, with its state in locals like the corrected search.
 
 Both run iteratively with explicit stacks, so deep graphs cannot exhaust
 the call stack.
@@ -220,73 +219,6 @@ class EnumerationReport:
         return tuple(cut_edges(self.graph, u) for u in self.mcvs)
 
 
-class _State:
-    """Step-by-step search state over bitmasks, for the replica and tests.
-
-    Per-level exclusion sets are plain ints, so the level copy made on
-    descent is free and mutation on backtrack cannot leak across levels.
-    """
-
-    def __init__(self, g: Graph, record_trace: bool) -> None:
-        self.g = g
-        self.adj = g.adjacency_masks
-        self.stack: list[int] = [g.source]
-        self.stack_mask: int = 1 << g.source
-        self.rest_mask: int = g.full_mask & ~self.stack_mask
-        self.excluded: list[int] = [1 << g.sink]
-        self.found: list[NodeSet] = []
-        self.stats = RunStats()
-        self.trace: list[TraceEvent] = []
-        self.record_trace = record_trace
-
-    def emit(self, step: TraceStep, node: int | None = None,
-             candidates: tuple[int, ...] = ()) -> None:
-        if self.record_trace:
-            self.trace.append(
-                TraceEvent(step, tuple(self.stack), node, candidates)
-            )
-
-    def legal_candidates(self, blocked: int) -> tuple[int, ...]:
-        """Nodes in the remainder, not excluded or blocked, adjacent to the prefix."""
-        raw = self.rest_mask & ~(blocked | self.excluded[-1])
-        return tuple(v for v in _bits(raw) if self.adj[v] & self.stack_mask)
-
-    def raw_candidates(self, blocked: int) -> tuple[int, ...]:
-        return tuple(_bits(self.rest_mask & ~(blocked | self.excluded[-1])))
-
-    def remainder_connected_without(self, v: int) -> bool:
-        self.stats.connectivity_checks += 1
-        return _connected_mask(self.adj, self.rest_mask & ~(1 << v))
-
-    def descend(self, v: int) -> None:
-        self.stack.append(v)
-        self.stack_mask |= 1 << v
-        self.rest_mask &= ~(1 << v)
-        self.excluded.append(self.excluded[-1])
-
-    def record(self) -> None:
-        self.found.append(frozenset(self.stack))
-
-    def backtrack(self) -> int:
-        """Pop the deepest node, exclude it at the parent, return it."""
-        self.stats.backtracks += 1
-        u = self.stack.pop()
-        self.stack_mask &= ~(1 << u)
-        self.rest_mask |= 1 << u
-        self.excluded.pop()
-        self.excluded[-1] |= 1 << u
-        return u
-
-    def report(self, status: RunStatus) -> EnumerationReport:
-        return EnumerationReport(
-            mcvs=tuple(self.found),
-            trace=tuple(self.trace),
-            stats=self.stats,
-            status=status,
-            graph=self.g,
-        )
-
-
 def enumerate_mcvs(
     g: Graph, opts: EnumerationOptions | None = None
 ) -> EnumerationReport:
@@ -443,9 +375,10 @@ def run_yeh_original(
       records a set that generates no minimal cut, ``goto-step4`` abandons
       the remaining results.
 
-    The run is one loop over steps 1-4; every step, step 0 included,
-    spends one step of budget. The step that would pass
-    ``policy.step_limit`` is not taken: the run aborts with status
+    The run is one loop over steps 1-4 on local state, with one
+    exclusion mask per level so a backtrack cannot leak upward. Every
+    step, step 0 included, spends one step of budget. The step that would
+    pass ``policy.step_limit`` is not taken: the run aborts with status
     ``STEP_LIMIT_EXCEEDED`` and partial results, and ``stats.steps`` is
     the limit plus one. If the root position is exhausted before any
     descent (level 0), the run stops rather than popping the source,
@@ -453,47 +386,75 @@ def run_yeh_original(
     """
     opts = opts or EnumerationOptions()
     choose = _make_chooser(opts.selection_order)
-    st = _State(g, opts.record_trace)
+    tracing = opts.record_trace
     limit = policy.step_limit or 10 * (1 << g.node_count)
     # The step the disconnected branch of step 2 goes to: "goto-stepN" is N.
     on_disconnected = int(policy.on_disconnected.removeprefix("goto-step"))
-    st.stats.steps = 1  # step 0: unlike the corrected engine, nothing is recorded
-    st.emit(TraceStep.STEP0)
+    adj = g.adjacency_masks
+    stack = [g.source]
+    prefix = 1 << g.source
+    rest = g.full_mask & ~prefix
+    excluded = [1 << g.sink]
+    found: list[NodeSet] = []
+    trace: list[TraceEvent] = []
+    stats = RunStats(steps=1)  # step 0: unlike the corrected engine, nothing is recorded
+
+    def emit(step: TraceStep, node: int | None = None,
+             candidates: tuple[int, ...] = ()) -> None:
+        if tracing:
+            trace.append(TraceEvent(step, tuple(stack), node, candidates))
+
+    def report(status: RunStatus) -> EnumerationReport:
+        return EnumerationReport(
+            mcvs=tuple(found), trace=tuple(trace), stats=stats, status=status, graph=g
+        )
+
+    emit(TraceStep.STEP0)
     step = 1
     while True:
-        st.stats.step1_visits += step == 1  # counted even if the budget stops it
-        st.stats.steps += 1
-        if st.stats.steps > limit:
-            return st.report(RunStatus.STEP_LIMIT_EXCEEDED)
+        stats.step1_visits += step == 1  # counted even if the budget stops it
+        stats.steps += 1
+        if stats.steps > limit:
+            return report(RunStatus.STEP_LIMIT_EXCEEDED)
         if step == 1:  # no blocked set: failed candidates stay eligible
-            candidates = st.legal_candidates(0)
+            raw = rest & ~excluded[-1]
+            candidates = tuple(v for v in _bits(raw) if adj[v] & prefix)
             if not candidates:
-                if st.record_trace:
-                    st.emit(TraceStep.STEP1_EXHAUSTED, None, st.raw_candidates(0))
+                emit(TraceStep.STEP1_EXHAUSTED, None, tuple(_bits(raw)))
                 step = 4
                 continue
             v = choose(candidates)
             if v is None:
-                st.emit(TraceStep.STOP)
-                return st.report(RunStatus.SCRIPT_EXHAUSTED)
-            st.emit(TraceStep.STEP1_SELECT, v, candidates)
+                emit(TraceStep.STOP)
+                return report(RunStatus.SCRIPT_EXHAUSTED)
+            emit(TraceStep.STEP1_SELECT, v, candidates)
             step = 2
         elif step == 2:
-            if st.remainder_connected_without(v):
-                st.emit(TraceStep.STEP2_CONNECTED, v)
+            stats.connectivity_checks += 1
+            if _connected_mask(adj, rest & ~(1 << v)):
+                emit(TraceStep.STEP2_CONNECTED, v)
                 step = 3
             else:
-                st.emit(TraceStep.STEP2_DISCONNECTED, v)
+                emit(TraceStep.STEP2_DISCONNECTED, v)
                 step = on_disconnected
         elif step == 3:
-            st.descend(v)
-            st.record()
-            st.stats.records += 1
-            st.emit(TraceStep.STEP3_RECORD, v)
+            stack.append(v)
+            prefix |= 1 << v
+            rest &= ~(1 << v)
+            excluded.append(excluded[-1])
+            found.append(frozenset(stack))
+            stats.records += 1
+            emit(TraceStep.STEP3_RECORD, v)
             step = 1
         else:  # step 4, with the original early stopping rule (level 1, not 0)
-            if len(st.stack) <= 2:
-                st.emit(TraceStep.STOP)
-                return st.report(RunStatus.COMPLETED)
-            st.emit(TraceStep.STEP4_BACKTRACK, st.backtrack())
+            if len(stack) <= 2:
+                emit(TraceStep.STOP)
+                return report(RunStatus.COMPLETED)
+            stats.backtracks += 1
+            u = stack.pop()
+            prefix &= ~(1 << u)
+            rest |= 1 << u
+            excluded.pop()
+            excluded[-1] |= 1 << u
+            emit(TraceStep.STEP4_BACKTRACK, u)
             step = 1

@@ -1,11 +1,11 @@
-"""The corrected search as a step-by-step loop over ``_State``, for tests.
+"""The corrected search as a step-by-step loop, for tests.
 
-This is the corrected search written step by step, one ``_State`` method
-per step of the paper's description, with the candidates built as a tuple
-at every position. :func:`mincuts.enumerate_mcvs` runs the same search as
-one bitmask loop; the tests hold the two to the same sets in the same
-order, the same trace, the same ``RunStats`` and the same status, under
-every selection order and both b-policies.
+This is the corrected search written step by step as the paper describes
+it, on its own locals, with the candidates built as a tuple at every
+position. :func:`mincuts.enumerate_mcvs` runs the same search as one
+bitmask loop; the tests hold the two to the same sets in the same order,
+the same trace, the same ``RunStats`` and the same status, under every
+selection order and both b-policies.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 from mincuts.enumeration import (
     EnumerationOptions,
     EnumerationReport,
+    RunStats,
     RunStatus,
+    TraceEvent,
     TraceStep,
     _make_chooser,
-    _State,
 )
-from mincuts.graph import Graph
+from mincuts.graph import Graph, _bits, _connected_mask
 
 
 def reference_enumerate_mcvs(
@@ -27,52 +28,74 @@ def reference_enumerate_mcvs(
     """What :func:`mincuts.enumerate_mcvs` must return for ``g`` and ``opts``."""
     opts = opts or EnumerationOptions()
     choose = _make_chooser(opts.selection_order)
-    st = _State(g, opts.record_trace)
     scoped = opts.b_policy == "scoped"
-
+    adj = g.adjacency_masks
+    stack = [g.source]
+    prefix = 1 << g.source
+    rest = g.full_mask & ~prefix
+    excluded = [1 << g.sink]
     blocked = 0
     saved_blocked: list[int] = []
+    found = [frozenset(stack)]  # the root prefix {s} is itself recorded
+    trace: list[TraceEvent] = []
+    stats = RunStats(steps=1)
 
-    st.record()  # the root prefix {s} is itself recorded
-    st.stats.steps += 1
-    st.emit(TraceStep.STEP0)
+    def emit(step: TraceStep, node: int | None = None,
+             candidates: tuple[int, ...] = ()) -> None:
+        if opts.record_trace:
+            trace.append(TraceEvent(step, tuple(stack), node, candidates))
 
+    def report(status: RunStatus) -> EnumerationReport:
+        emit(TraceStep.STOP)
+        return EnumerationReport(
+            mcvs=tuple(found), trace=tuple(trace), stats=stats, status=status, graph=g
+        )
+
+    emit(TraceStep.STEP0)
     while True:
         # Step 1: pick a candidate adjacent to the prefix, or give up here.
-        st.stats.step1_visits += 1
-        st.stats.steps += 1
-        candidates = st.legal_candidates(blocked)
+        stats.step1_visits += 1
+        stats.steps += 1
+        raw = rest & ~(blocked | excluded[-1])
+        candidates = tuple(v for v in _bits(raw) if adj[v] & prefix)
         if candidates:
             v = choose(candidates)
             if v is None:
-                st.emit(TraceStep.STOP)
-                return st.report(RunStatus.SCRIPT_EXHAUSTED)
-            st.emit(TraceStep.STEP1_SELECT, v, candidates)
+                return report(RunStatus.SCRIPT_EXHAUSTED)
+            emit(TraceStep.STEP1_SELECT, v, candidates)
 
             # Step 2: keep v only if the remainder stays connected without it.
-            st.stats.steps += 1
-            if st.remainder_connected_without(v):
-                st.emit(TraceStep.STEP2_CONNECTED, v)
+            stats.steps += 1
+            stats.connectivity_checks += 1
+            if _connected_mask(adj, rest & ~(1 << v)):
+                emit(TraceStep.STEP2_CONNECTED, v)
                 # Step 3: descend and record the extended prefix.
-                st.stats.steps += 1
+                stats.steps += 1
                 if scoped:
                     saved_blocked.append(blocked)
                 blocked = 0
-                st.descend(v)
-                st.record()
-                st.stats.records += 1
-                st.emit(TraceStep.STEP3_RECORD, v)
+                stack.append(v)
+                prefix |= 1 << v
+                rest &= ~(1 << v)
+                excluded.append(excluded[-1])
+                found.append(frozenset(stack))
+                stats.records += 1
+                emit(TraceStep.STEP3_RECORD, v)
             else:
-                st.emit(TraceStep.STEP2_DISCONNECTED, v)
+                emit(TraceStep.STEP2_DISCONNECTED, v)
                 blocked |= 1 << v
         else:
-            st.emit(TraceStep.STEP1_EXHAUSTED, None, st.raw_candidates(blocked))
+            emit(TraceStep.STEP1_EXHAUSTED, None, tuple(_bits(raw)))
             # Step 4: stop at the root, otherwise back out one level.
-            st.stats.steps += 1
-            if len(st.stack) == 1:
-                st.emit(TraceStep.STOP)
-                return st.report(RunStatus.COMPLETED)
-            u = st.backtrack()
+            stats.steps += 1
+            if len(stack) == 1:
+                return report(RunStatus.COMPLETED)
+            stats.backtracks += 1
+            u = stack.pop()
+            prefix &= ~(1 << u)
+            rest |= 1 << u
+            excluded.pop()
+            excluded[-1] |= 1 << u
             if scoped:
                 blocked = saved_blocked.pop()
-            st.emit(TraceStep.STEP4_BACKTRACK, u)
+            emit(TraceStep.STEP4_BACKTRACK, u)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mincuts.enumeration
 from mincuts import EnumerationOptions, build_graph, enumerate_mcvs, prune_irrelevant
 from mincuts.enumeration import (
     B_POLICIES,
@@ -356,19 +355,6 @@ class TestAnswerPath:
         g = build_graph(edges, "s", "t")
         for opts in _option_grid(g):
             _assert_matches_reference(g, opts)
-
-    def test_no_run_builds_state(self, monkeypatch):
-        # ``_State`` serves only the Yeh replica and the reference loop. If
-        # ``enumerate_mcvs`` built one, the tests above could compare the
-        # reference with itself.
-        def no_state(*args):
-            raise AssertionError("_State built")
-
-        g = build_graph(grid_graph_edges(3, 4), "s", "t")
-        grid = _option_grid(g)
-        monkeypatch.setattr(mincuts.enumeration, "_State", no_state)
-        statuses = {enumerate_mcvs(g, opts).status for opts in grid}
-        assert statuses == {RunStatus.COMPLETED, RunStatus.SCRIPT_EXHAUSTED}
 
 
 class TestPredecessorStructure:

@@ -3,7 +3,8 @@
 The benchmark under ``perfbench/`` wraps functions by module and name and
 imports from the top-level package, and the README shows a library
 snippet. Each is read as source here, so a renamed or unexported name
-fails a test rather than a benchmark run or a reader.
+fails a test rather than a benchmark run or a reader. The tests' step-loop
+reference is read the same way, so that it keeps its own search state.
 """
 
 from __future__ import annotations
@@ -58,3 +59,18 @@ def test_readme_library_snippet_runs():
     snippet = re.search(r"```python\n(.*?)```", library, re.DOTALL)
     assert snippet is not None
     exec(compile(snippet.group(1), "README.md", "exec"), {})
+
+
+def test_step_loop_reference_shares_no_engine_state():
+    # The reference is only evidence for ``enumerate_mcvs`` if it keeps its
+    # own search state; of the engine module's private names it may borrow
+    # only the order-to-chooser compiler, so both runs pick alike.
+    tree = ast.parse((ROOT / "tests" / "step_loop_reference.py").read_text())
+    private = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "mincuts.enumeration"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private <= {"_make_chooser"}
