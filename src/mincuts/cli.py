@@ -45,6 +45,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_STEP_LIMIT = 3
+_STATUS_EXIT = {
+    RunStatus.COMPLETED: EXIT_OK,
+    RunStatus.SCRIPT_EXHAUSTED: EXIT_USAGE,
+    RunStatus.STEP_LIMIT_EXCEEDED: EXIT_STEP_LIMIT,
+}
 
 ALGORITHMS = ("corrected", "yeh-original", "oracle")
 FORMATS = ("text", "json")
@@ -106,20 +111,26 @@ class RunConfig:
 
 def _validate(config: RunConfig) -> None:
     """Checks argparse cannot make: library callers skip its ``choices``,
-    and the Yeh options depend on the algorithm. The policy values are
+    and some options apply to one algorithm only. The policy values are
     checked by the option classes that hold them."""
     if config.algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {config.algorithm!r}")
     if config.output_format not in FORMATS:
         raise UsageError(f"unknown output format {config.output_format!r}")
     EnumerationOptions(b_policy=config.b_policy)  # rejects an unknown policy, used or not
-    if config.algorithm == "yeh-original":
-        if config.yeh_policy is None:
-            raise UsageError("--yeh-policy is required with --algorithm yeh-original")
-    elif config.yeh_policy is not None:
-        raise UsageError("--yeh-policy only applies to --algorithm yeh-original")
-    if config.step_limit is not None and config.algorithm != "yeh-original":
-        raise UsageError("--step-limit only applies to --algorithm yeh-original")
+    yeh, oracle = config.algorithm == "yeh-original", config.algorithm == "oracle"
+    if yeh and config.yeh_policy is None:
+        raise UsageError("--yeh-policy is required with --algorithm yeh-original")
+    ignored = {
+        "--yeh-policy": config.yeh_policy is not None and not yeh,
+        "--step-limit": config.step_limit is not None and not yeh,
+        "--compare-oracle": config.compare_oracle and oracle,
+        "--trace": config.trace and oracle,
+        "--order": config.order != RunConfig.order and oracle,
+    }
+    for flag, given in ignored.items():
+        if given:
+            raise UsageError(f"{flag} does not apply to --algorithm {config.algorithm}")
     if config.all_sinks and config.sink is not None:
         raise UsageError("--sink cannot be combined with --all-sinks")
 
@@ -191,37 +202,30 @@ def _execute(
             )
             g = prune.pruned_graph
 
-    report: EnumerationReport | None = None
-    comparison = None
-    code = EXIT_OK
-    if config.algorithm != "oracle":
-        opts = EnumerationOptions(
-            selection_order=_parse_order(config.order, g),
-            b_policy=config.b_policy,  # type: ignore[arg-type]
-            record_trace=config.trace,
-        )
-        if config.algorithm == "yeh-original":
-            policy = YehPolicy(config.yeh_policy, config.step_limit)  # type: ignore[arg-type]
+    if config.algorithm == "oracle":
+        return _SinkRun(g, pruned_labels, None, brute_force_mcvs(g), None, EXIT_OK)
+    opts = EnumerationOptions(
+        selection_order=_parse_order(config.order, g),
+        b_policy=config.b_policy,  # type: ignore[arg-type]
+        record_trace=config.trace,
+    )
+    policy = (
+        YehPolicy(config.yeh_policy, config.step_limit)  # type: ignore[arg-type]
+        if config.algorithm == "yeh-original" else None
+    )
     # After the options are checked and before the search, so a bad option
     # wastes no scan and a graph past the oracle's limit no search.
-    oracle = (
-        brute_force_mcvs(g)
-        if config.algorithm == "oracle" or config.compare_oracle else None
-    )
-    if config.algorithm != "oracle":
-        if config.algorithm == "corrected":
-            report = enumerate_mcvs(g, opts)
-        else:
-            report = run_yeh_original(g, policy, opts)
-        if report.status is RunStatus.STEP_LIMIT_EXCEEDED:
-            code = EXIT_STEP_LIMIT
-        elif report.status is RunStatus.SCRIPT_EXHAUSTED:
-            code = EXIT_USAGE
-        if oracle is not None:
-            comparison = diff(report, oracle, g)
-            if not comparison.agree:
-                code = max(code, EXIT_MISMATCH)
-
+    oracle = brute_force_mcvs(g) if config.compare_oracle else None
+    if policy is None:
+        report = enumerate_mcvs(g, opts)
+    else:
+        report = run_yeh_original(g, policy, opts)
+    code = _STATUS_EXIT[report.status]
+    comparison = None
+    if oracle is not None:
+        comparison = diff(report, oracle, g)
+        if not comparison.agree:
+            code = max(code, EXIT_MISMATCH)
     return _SinkRun(g, pruned_labels, report, oracle, comparison, code)
 
 
@@ -495,7 +499,7 @@ def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None)
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {config.input_path}: {exc}") from None
         pairs = parse_edge_list(text)
-        labels = {x for pair in pairs for x in pair}
+        labels = dict.fromkeys(x for pair in pairs for x in pair)  # in file order
 
         source = config.source
         if source is None:
@@ -504,8 +508,7 @@ def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None)
             source = "s"
 
         if config.all_sinks:
-            ordered_labels = list(dict.fromkeys(x for pair in pairs for x in pair))
-            sinks = [x for x in ordered_labels if x != source]
+            sinks = [x for x in labels if x != source]
             if not sinks:
                 raise UsageError(
                     f"--all-sinks: no node other than the source {source!r}"

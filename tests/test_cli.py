@@ -482,6 +482,21 @@ class TestUsageErrors:
         assert out == ""
         assert "--sink" in err and "--all-sinks" in err
 
+    @pytest.mark.parametrize(
+        "fields, flag",
+        [
+            (dict(compare_oracle=True), "--compare-oracle"),
+            (dict(trace=True), "--trace"),
+            (dict(order="random:1"), "--order"),
+        ],
+    )
+    def test_search_option_rejected_with_oracle(self, fields, flag):
+        # Before: the oracle ran, ignored the option and exited 0.
+        config = RunConfig(str(FIXTURES / "fig1.edges"), algorithm="oracle", **fields)
+        code, out, err = _run(config)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"error: {flag} does not apply to --algorithm oracle" in err
+
     def test_unreadable_file(self):
         code, _, err = _run(RunConfig("does-not-exist.edges"))
         assert code == EXIT_USAGE
