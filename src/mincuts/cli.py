@@ -127,6 +127,7 @@ def _validate(config: RunConfig) -> None:
         "--compare-oracle": config.compare_oracle and oracle,
         "--trace": config.trace and oracle,
         "--order": config.order != RunConfig.order and oracle,
+        "--b-policy": config.b_policy != RunConfig.b_policy and (yeh or oracle),
     }
     for flag, given in ignored.items():
         if given:

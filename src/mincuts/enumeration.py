@@ -28,7 +28,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Literal, Union, get_args
 
-from .graph import Cut, Graph, NodeSet, _bits, _connected_mask, cut_edges
+from .graph import Cut, Graph, NodeSet, _bits, _connected_mask, _connected_without, cut_edges
 
 __all__ = [
     "B_POLICIES",
@@ -252,11 +252,13 @@ def enumerate_mcvs(
 
     Every order, policy and trace setting runs the same loop over
     bitmasks: the prefix's frontier is one mask grown on descent and
-    restored on backtrack, the legal candidates are one mask expression,
-    and each connectivity check is one BFS. Untraced ascending runs take
-    the lowest legal bit; other runs choose from the legal candidates as
-    an ascending tuple. Trace events are built only when
-    ``opts.record_trace`` is set.
+    restored on backtrack, and the legal candidates are one mask expression.
+    A ``fails`` mask of picks proven to disconnect the remainder is saved
+    alike and passed down on descent, so those checks run no BFS; below the
+    root the remainder is connected, so every other BFS stops once the
+    pick's neighbours meet. Untraced ascending runs take the lowest legal
+    bit; other runs choose from the legal candidates as an ascending tuple.
+    Trace events are built only when ``opts.record_trace`` is set.
     """
     opts = opts or EnumerationOptions()
     order = opts.selection_order
@@ -274,8 +276,9 @@ def enumerate_mcvs(
     frontier = adj[g.source]  # nodes adjacent to the prefix
     excluded = 1 << g.sink
     blocked = 0
+    fails = 0  # picks ``u`` already proven to disconnect ``rest - u``
     # Per descended level, the parent position's state to restore.
-    saved: list[tuple[int, int, int]] = []
+    saved: list[tuple[int, int, int, int]] = []
     found = [frozenset(stack)]  # the root prefix {s} is itself recorded
     visits = checks = backtracks = 0
     steps = 1
@@ -300,7 +303,7 @@ def enumerate_mcvs(
                 break
             backtracks += 1
             u = stack.pop()
-            frontier, excluded, parent_blocked = saved.pop()
+            frontier, excluded, parent_blocked, fails = saved.pop()
             if scoped:
                 blocked = parent_blocked
             rest |= 1 << u
@@ -323,17 +326,24 @@ def enumerate_mcvs(
                 )
 
         # Step 2: keep the pick only if the remainder stays connected without it.
+        # Only the root's remainder can be split, so only it needs the full BFS.
         steps += 1
         checks += 1
-        if _connected_mask(adj, rest ^ low):
+        if not low & fails and (_connected_without(adj, rest, low) if saved
+                                else _connected_mask(adj, rest ^ low)):
             # Step 3: descend and record the extended prefix.
             steps += 1
-            saved.append((frontier, excluded, blocked))
+            saved.append((frontier, excluded, blocked, fails))
             v = low.bit_length() - 1
             stack.append(v)
             rest ^= low
             frontier |= adj[v]
             blocked = 0
+            # A split ``rest - u`` stays split without ``v`` unless ``{v}`` was
+            # one of its parts: ``u`` is then ``v``'s only neighbour, if any.
+            near = adj[v] & rest
+            if not near & (near - 1):
+                fails &= ~near if near else 0
             found.append(frozenset(stack))
             if tracing:
                 prefix = tuple(stack)
@@ -341,6 +351,7 @@ def enumerate_mcvs(
                 trace.append(TraceEvent(TraceStep.STEP3_RECORD, prefix, v))
         else:
             blocked |= low
+            fails |= low
             if tracing:  # a traced run picks through ``choose``, so ``v`` is set
                 trace.append(TraceEvent(TraceStep.STEP2_DISCONNECTED, tuple(stack), v))
 

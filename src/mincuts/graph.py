@@ -98,6 +98,28 @@ def _connected_mask(adjacency_masks: Sequence[int], mask: int) -> bool:
     return seen == mask
 
 
+def _connected_without(adjacency_masks: Sequence[int], mask: int, low: int) -> bool:
+    """Is ``mask`` without the single bit ``low`` connected, if ``mask`` is?
+
+    Every other node reaches one of ``low``'s neighbours, so the BFS from
+    one neighbour stops once it has seen them all; a leaf needs no BFS.
+    """
+    mask ^= low
+    targets = adjacency_masks[low.bit_length() - 1] & mask
+    seen = frontier = targets & -targets
+    while targets & ~seen:
+        if not frontier:
+            return False
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reach |= adjacency_masks[bit.bit_length() - 1]
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return True
+
+
 @dataclass(frozen=True, repr=False)
 class Graph:
     """Connected undirected simple graph with designated source and sink.

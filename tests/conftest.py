@@ -9,8 +9,9 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from mincuts.graph import Graph, build_graph
+from mincuts.graph import Graph, build_graph, prune_irrelevant
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -130,6 +131,25 @@ def grid_graph_edges(rows: int, cols: int) -> list[tuple[str, str]]:
     right = [(name(r, c), name(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
     down = [(name(r, c), name(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
     return right + down
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Random trees of up to 40 nodes plus a few short chords, maybe pruned.
+
+    Parents and chords join nearby indices, so the tree has long paths, and
+    the terminals are its first and last nodes, so the source-sink block
+    keeps many nodes after pruning.
+    """
+    n = draw(st.integers(2, 40))
+    parents = [draw(st.integers(max(0, i - 3), i - 1)) for i in range(1, n)]
+    edges = [(str(p), str(i)) for i, p in enumerate(parents, start=1)]
+    chords = st.tuples(st.integers(0, n - 1), st.integers(2, 6))
+    for a, gap in draw(st.lists(chords, max_size=12)):
+        if a - gap >= 0:
+            edges.append((str(a - gap), str(a)))
+    g = build_graph(edges, "0", str(n - 1))
+    return prune_irrelevant(g).pruned_graph if draw(st.booleans()) else g
 
 
 def label_sets(g: Graph, node_sets) -> set[frozenset[str]]:

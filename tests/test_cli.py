@@ -497,6 +497,20 @@ class TestUsageErrors:
         assert (code, out) == (EXIT_USAGE, "")
         assert f"error: {flag} does not apply to --algorithm oracle" in err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(algorithm="oracle"), dict(algorithm="yeh-original", yeh_policy="goto-step4")],
+        ids=["oracle", "yeh-original"],
+    )
+    def test_b_policy_rejected_outside_corrected(self, fields):
+        # Before: both runs exited 0 and the JSON options named no b-policy.
+        config = RunConfig(
+            str(FIXTURES / "fig1.edges"), b_policy="persistent", output_format="json", **fields
+        )
+        code, out, err = _run(config)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"error: --b-policy does not apply to --algorithm {fields['algorithm']}" in err
+
     def test_unreadable_file(self):
         code, _, err = _run(RunConfig("does-not-exist.edges"))
         assert code == EXIT_USAGE

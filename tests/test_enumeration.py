@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mincuts.enumeration
 from mincuts import EnumerationOptions, build_graph, enumerate_mcvs, prune_irrelevant
 from mincuts.enumeration import (
     B_POLICIES,
@@ -19,7 +22,7 @@ from mincuts.enumeration import (
     YehPolicy,
     run_yeh_original,
 )
-from mincuts.graph import boundary_nodes, is_mcv
+from mincuts.graph import _mask, boundary_nodes, is_mcv
 from mincuts.corpus import CorpusSpec, corpus_entries
 from mincuts.oracle import brute_force_mcvs
 
@@ -33,6 +36,7 @@ from .conftest import (
     complete_graph_edges,
     grid_graph_edges,
     label_sets,
+    sparse_graphs,
 )
 from .step_loop_reference import reference_enumerate_mcvs
 
@@ -307,25 +311,6 @@ def run_options(draw, g):
     )
 
 
-@st.composite
-def sparse_graphs(draw):
-    """Random trees of up to 40 nodes plus a few short chords, maybe pruned.
-
-    Parents and chords join nearby indices, so the tree has long paths, and
-    the terminals are its first and last nodes, so the source-sink block
-    keeps many nodes after pruning.
-    """
-    n = draw(st.integers(2, 40))
-    parents = [draw(st.integers(max(0, i - 3), i - 1)) for i in range(1, n)]
-    edges = [(str(p), str(i)) for i, p in enumerate(parents, start=1)]
-    chords = st.tuples(st.integers(0, n - 1), st.integers(2, 6))
-    for a, gap in draw(st.lists(chords, max_size=12)):
-        if a - gap >= 0:
-            edges.append((str(a - gap), str(a)))
-    g = build_graph(edges, "0", str(n - 1))
-    return prune_irrelevant(g).pruned_graph if draw(st.booleans()) else g
-
-
 class TestAnswerPath:
     """The bitmask loop against the step-by-step reference loop.
 
@@ -355,6 +340,63 @@ class TestAnswerPath:
         g = build_graph(edges, "s", "t")
         for opts in _option_grid(g):
             _assert_matches_reference(g, opts)
+
+
+class TestConnectivityCheckCost:
+    """Checks answered from proven failures run no BFS; the calls pin that.
+
+    Both connectivity helpers are counted where the engine looks them up.
+    """
+
+    @staticmethod
+    def _run_counting_bfs(monkeypatch, edges):
+        calls = []
+        for name in ("_connected_mask", "_connected_without"):
+            real = getattr(mincuts.enumeration, name)
+
+            def counted(*args, real=real):
+                calls.append(1)
+                return real(*args)
+
+            monkeypatch.setattr(mincuts.enumeration, name, counted)
+        report = enumerate_mcvs(build_graph(edges, "s", "t"))
+        return report.stats, len(calls)
+
+    def test_grid_runs_a_bfs_for_under_three_checks_in_four(self, monkeypatch):
+        # 3 in 4 checks fail on this grid; most failures are already known.
+        stats, calls = self._run_counting_bfs(monkeypatch, grid_graph_edges(4, 7))
+        assert stats.connectivity_checks == 75_680
+        assert calls < 0.75 * stats.connectivity_checks
+
+    def test_every_check_runs_a_bfs_when_none_fails(self, monkeypatch):
+        stats, calls = self._run_counting_bfs(monkeypatch, complete_graph_edges(6))
+        assert stats.records == stats.connectivity_checks == calls
+
+
+class TestSourceSinkSwap:
+    """A metamorphic check that reaches past the oracle's node limit.
+
+    Swapping source and sink must turn the family of result sets into the
+    family of their complements.
+    """
+
+    @staticmethod
+    def _assert_swap_complements(g):
+        swapped = dataclasses.replace(g, source=g.sink, sink=g.source)
+        forward = [_mask(u) for u in enumerate_mcvs(g).mcvs]
+        backward = {g.full_mask ^ _mask(u) for u in enumerate_mcvs(swapped).mcvs}
+        assert set(forward) == backward
+        return len(forward)
+
+    @pytest.mark.parametrize("rows, cols, count", [(4, 7, 18_187), (4, 8, 64_626)])
+    def test_grids(self, rows, cols, count):
+        g = build_graph(grid_graph_edges(rows, cols), "s", "t")
+        assert self._assert_swap_complements(g) == count
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=sparse_graphs())
+    def test_pruned_sparse_graphs(self, g):
+        self._assert_swap_complements(prune_irrelevant(g).pruned_graph)
 
 
 class TestPredecessorStructure:

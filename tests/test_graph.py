@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mincuts import build_graph, prune_irrelevant
+from mincuts import build_graph, enumerate_mcvs, prune_irrelevant
 from mincuts.graph import (
     DisconnectedInput,
     EmptyOrFullSet,
     SelfLoop,
     SourceEqualsSink,
     UnknownNode,
+    _bits,
+    _connected_mask,
+    _connected_without,
+    _mask,
     boundary_nodes,
     cut_edges,
     is_connected,
@@ -21,7 +25,7 @@ from mincuts.graph import (
 from mincuts.corpus import CorpusSpec, corpus_entries
 from mincuts.oracle import brute_force_mcvs
 
-from .conftest import FIG1_EDGES, st_connected
+from .conftest import FIG1_EDGES, sparse_graphs, st_connected
 
 
 class TestBuildGraph:
@@ -84,6 +88,39 @@ class TestConnectivity:
 
     def test_empty_set_connected(self, fig1):
         assert is_connected(fig1, frozenset())
+
+
+class TestConnectedWithout:
+    """The early-exit check against a full BFS, on connected masks only."""
+
+    @pytest.mark.parametrize(
+        "members, pick, expected",
+        [
+            (("t",), "t", True),  # singleton: nothing is left
+            (("2", "3", "t"), "2", True),  # leaf of the path 2-3-t: no BFS
+            (("2", "3", "t"), "3", False),  # separates 2 from t
+            (("1", "2", "3", "4", "t"), "3", True),  # 1, 2, 4 and t meet via 1
+            (("2", "3", "4", "t"), "3", False),  # cuts 2 off from 4 and t
+        ],
+    )
+    def test_fig1_cases(self, fig1, members, pick, expected):
+        mask, low = _mask(fig1.node_set(*members)), _mask(fig1.node_set(pick))
+        adj = fig1.adjacency_masks
+        assert _connected_mask(adj, mask)
+        assert _connected_without(adj, mask, low) is expected
+        assert _connected_mask(adj, mask ^ low) is expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=sparse_graphs())
+    def test_matches_full_bfs_on_search_remainders(self, g):
+        adj = g.adjacency_masks
+        for u in enumerate_mcvs(g).mcvs:
+            rest = g.full_mask & ~_mask(u)
+            if not _connected_mask(adj, rest):  # unpruned {s} may split it
+                continue
+            for v in _bits(rest):
+                low = 1 << v
+                assert _connected_without(adj, rest, low) == _connected_mask(adj, rest ^ low)
 
 
 class TestCutEdges:

@@ -64,13 +64,19 @@ def test_readme_library_snippet_runs():
 def test_step_loop_reference_shares_no_engine_state():
     # The reference is only evidence for ``enumerate_mcvs`` if it keeps its
     # own search state; of the engine module's private names it may borrow
-    # only the order-to-chooser compiler, so both runs pick alike.
+    # only the order-to-chooser compiler, so both runs pick alike. It checks
+    # connectivity with the full BFS, never the engine's early-exit check.
     tree = ast.parse((ROOT / "tests" / "step_loop_reference.py").read_text())
-    private = {
-        alias.name
+    imported = [
+        (node.module, alias.name)
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "mincuts.enumeration"
+        if isinstance(node, ast.ImportFrom)
         for alias in node.names
-        if alias.name.startswith("_")
+    ]
+    private = {
+        name for module, name in imported
+        if module == "mincuts.enumeration" and name.startswith("_")
     }
     assert private <= {"_make_chooser"}
+    assert ("mincuts.graph", "_connected_mask") in imported
+    assert "_connected_without" not in {name for _, name in imported}
