@@ -172,8 +172,8 @@ class _SinkRun:
     exit_code: int
 
 
-def _labels_sorted(g: Graph, nodes) -> list[str]:
-    return sorted(g.node_names[v] for v in nodes)
+def _labels_sorted(g: Graph, u: NodeSet) -> list[str]:
+    return sorted(g.label_set(u))
 
 
 def _edge_labels_sorted(g: Graph, edges) -> list[list[str]]:
@@ -286,11 +286,13 @@ def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
         if config.trace:
             print("trace:", file=out)
             for ev in run.report.trace:
-                parts = [ev.step.value, f"prefix={rows.mcv(ev.prefix)}"]
+                prefix = sum(1 << v for v in ev.prefix)
+                parts = [ev.step.value, f"prefix={rows.mcv(prefix)}"]
                 if ev.node is not None:
                     parts.append(f"node={g.node_names[ev.node]}")
                 if ev.candidates:
-                    parts.append(f"candidates={rows.mcv(ev.candidates)}")
+                    candidates = sum(1 << v for v in ev.candidates)
+                    parts.append(f"candidates={rows.mcv(candidates)}")
                 print("  " + " ".join(parts), file=out)
 
     if run.comparison is not None:
@@ -369,30 +371,32 @@ def _indent(level: int) -> str:
 class _RowFragments:
     """One graph's node labels and edges, pre-rendered once for every row.
 
-    A set row (``mcvs``, a trace's prefix or candidates, an oracle diff) is
-    the join of the fragments of the nodes in its set, a ``cuts`` row the
-    join of the fragments of the edges with exactly one end in it. Text
-    ranks fragments by index and writes ``{s,1}`` and ``{s-2, 1-3}``. JSON
-    ranks them by label and by sorted label pair, so each row comes out as
-    ``json.dumps`` of the sorted label lists would at the rows' ``level``.
-    No row is empty: a set holds the source and not the sink of a connected
-    graph. A JSON ``trace`` row is an object whose label lists keep the
-    event's order.
+    Each fragment is paired with the mask of its node or of its edge's two
+    ends. A set row (``mcvs``, a trace's prefix or candidates, an oracle
+    diff) is the join of the fragments of the nodes in its mask, a ``cuts``
+    row the join of the fragments of the edges ``e`` with ``0 < u & e < e``,
+    that is with exactly one end in ``u``. Text ranks fragments by index
+    and writes ``{s,1}`` and ``{s-2, 1-3}``. JSON ranks them by label and by
+    sorted label pair, so each row comes out as ``json.dumps`` of the sorted
+    label lists would at the rows' ``level``. No row is empty: a set holds
+    the source and not the sink of a connected graph. A JSON ``trace`` row
+    is an object whose label lists keep the event's order.
     """
 
     def __init__(self, g: Graph, level: int | None) -> None:
         """``level`` is the JSON nesting level of the rows; ``None`` is text."""
         names = g.node_names
         if level is None:
-            self._rank, self._nodes = None, names
-            self._edges = [(u, v, f"{names[u]}-{names[v]}") for u, v in sorted(g.edges)]
+            self._nodes = [(1 << v, x) for v, x in enumerate(names)]
+            self._edges = [
+                ((1 << u) | (1 << v), f"{names[u]}-{names[v]}") for u, v in sorted(g.edges)
+            ]
             self._open, self._node_sep, self._edge_sep, self._close = "{", ",", ", ", "}"
             return
         label = [encode_basestring_ascii(x) for x in names]
         item, inner = _indent(level + 1), _indent(level + 2)
         by_label = sorted(range(len(names)), key=names.__getitem__)
-        self._rank = {v: r for r, v in enumerate(by_label)}.__getitem__
-        self._nodes = [item + x for x in label]
+        self._nodes = [(1 << v, item + label[v]) for v in by_label]
         self._label, self._item = label, item
         self._deep = [inner + x for x in label]
         ends = sorted(
@@ -400,18 +404,18 @@ class _RowFragments:
             key=lambda e: (names[e[0]], names[e[1]]),
         )
         self._edges = [
-            (u, v, f"{item}[{inner}{label[u]},{inner}{label[v]}{item}]")
+            ((1 << u) | (1 << v), f"{item}[{inner}{label[u]},{inner}{label[v]}{item}]")
             for u, v in ends
         ]
         self._end = _indent(level)
         self._open, self._node_sep, self._edge_sep, self._close = "[", ",", ",", self._end + "]"
 
-    def mcv(self, u: Iterable[int]) -> str:
-        body = self._node_sep.join([self._nodes[v] for v in sorted(u, key=self._rank)])
+    def mcv(self, u: NodeSet) -> str:
+        body = self._node_sep.join([f for bit, f in self._nodes if u & bit])
         return self._open + body + self._close
 
     def cut(self, u: NodeSet) -> str:
-        body = self._edge_sep.join([f for a, b, f in self._edges if (a in u) != (b in u)])
+        body = self._edge_sep.join([f for e, f in self._edges if 0 < u & e < e])
         return self._open + body + self._close
 
     def _labels(self, nodes: tuple[int, ...]) -> str:

@@ -197,16 +197,18 @@ def run_corpus(
     ``out``: index, seed, node and edge counts, agree/mismatch, and, when a
     mismatch was shrunk to an artifact, the file it was written to
     (requires ``out_dir``). Artifacts are edge-list files replayable with
-    the same policy and order that exposed the disagreement. An empty or
-    unknown ``b_policies``, a negative ``random_orders`` or an unusable
-    ``out_dir`` raises ``ValueError`` before any graph runs.
+    the same policy and order that exposed the disagreement. An empty,
+    unknown or repeated ``b_policies``, a negative ``random_orders`` or an
+    unusable ``out_dir`` raises ``ValueError`` before any graph runs.
     """
     if not b_policies:
         raise ValueError("no b-policy given")
     if random_orders < 0:
         raise ValueError(f"random_orders must be non-negative, got {random_orders}")
-    for policy in b_policies:
+    for i, policy in enumerate(b_policies):
         EnumerationOptions(b_policy=policy)  # raises on an unknown policy
+        if policy in b_policies[:i]:
+            raise ValueError(f"b-policy {policy!r} given twice")
     lines: list[str] = []
     mismatches = 0
     out_path = Path(out_dir) if out_dir is not None else None

@@ -17,7 +17,9 @@ Two engines search with the same state (prefix stack ``S``, remainder
   steps, with its state in locals like the corrected search.
 
 Both run iteratively with explicit stacks, so deep graphs cannot exhaust
-the call stack.
+the call stack, and record each set as the ``int`` bitmask of its prefix
+(:data:`mincuts.graph.NodeSet`); trace events keep the prefix as a tuple in
+stack order.
 """
 
 from __future__ import annotations
@@ -200,7 +202,8 @@ class YehPolicy:
 class EnumerationReport:
     """Outcome of one enumeration run on ``graph``.
 
-    ``mcvs`` lists recorded node sets in discovery order and ``cuts`` their
+    ``mcvs`` lists the recorded node sets, as bitmasks, in discovery order
+    (``graph.label_set(u)`` names the members of one), and ``cuts`` their
     crossing-edge sets, index-parallel; the cuts are computed on first
     access. The replica can record sets that are not actually
     cut-generating (that is one of its defects); the corrected engine's
@@ -271,15 +274,16 @@ def enumerate_mcvs(
     scoped = opts.b_policy == "scoped"
     trace: list[TraceEvent] = []
     adj = g.adjacency_masks
+    full = g.full_mask
     stack = [g.source]
-    rest = g.full_mask & ~(1 << g.source)
+    rest = full & ~(1 << g.source)
     frontier = adj[g.source]  # nodes adjacent to the prefix
     excluded = 1 << g.sink
     blocked = 0
     fails = 0  # picks ``u`` already proven to disconnect ``rest - u``
     # Per descended level, the parent position's state to restore.
     saved: list[tuple[int, int, int, int]] = []
-    found = [frozenset(stack)]  # the root prefix {s} is itself recorded
+    found = [full ^ rest]  # the root prefix {s} is itself recorded
     visits = checks = backtracks = 0
     steps = 1
     status = RunStatus.COMPLETED
@@ -344,7 +348,7 @@ def enumerate_mcvs(
             near = adj[v] & rest
             if not near & (near - 1):
                 fails &= ~near if near else 0
-            found.append(frozenset(stack))
+            found.append(full ^ rest)
             if tracing:
                 prefix = tuple(stack)
                 trace.append(TraceEvent(TraceStep.STEP2_CONNECTED, prefix[:-1], v))
@@ -453,7 +457,7 @@ def run_yeh_original(
             prefix |= 1 << v
             rest &= ~(1 << v)
             excluded.append(excluded[-1])
-            found.append(frozenset(stack))
+            found.append(prefix)
             stats.records += 1
             emit(TraceStep.STEP3_RECORD, v)
             step = 1

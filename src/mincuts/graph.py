@@ -2,9 +2,11 @@
 
 Node identity is label-based at the boundary and index-based internally:
 labels are mapped to dense indices ``0..n-1`` in first-appearance order, and
-every query works on plain ``frozenset[int]`` node sets.  Connectivity runs
-on per-node adjacency bitmasks, which keeps the exhaustive callers (the
-brute-force oracle, the corpus runner) fast without any native code.
+a node set is an ``int`` bitmask whose bit ``v`` stands for node ``v``, from
+the search to the renderer; :meth:`Graph.label_set` decodes one to labels.
+Connectivity runs on per-node adjacency bitmasks, which keeps the
+exhaustive callers (the brute-force oracle, the corpus runner) fast without
+any native code.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-NodeSet = frozenset[int]
+NodeSet = int  # bit ``v`` set iff node ``v`` is a member
 Edge = tuple[int, int]  # normalized: smaller index first
 Cut = frozenset[Edge]
 
@@ -29,10 +31,8 @@ __all__ = [
     "SelfLoop",
     "SourceEqualsSink",
     "UnknownNode",
-    "boundary_nodes",
     "build_graph",
     "cut_edges",
-    "is_connected",
     "is_mcv",
     "prune_irrelevant",
 ]
@@ -60,13 +60,6 @@ class DisconnectedInput(GraphError):
 
 class EmptyOrFullSet(GraphError):
     pass
-
-
-def _mask(nodes: Iterable[int]) -> int:
-    m = 0
-    for v in nodes:
-        m |= 1 << v
-    return m
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -157,10 +150,6 @@ class Graph:
         return (1 << self.node_count) - 1
 
     @cached_property
-    def all_nodes(self) -> NodeSet:
-        return frozenset(range(self.node_count))
-
-    @cached_property
     def _index_by_name(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.node_names)}
 
@@ -171,11 +160,14 @@ class Graph:
             raise UnknownNode(f"no node labeled {label!r}") from None
 
     def node_set(self, *labels: str) -> NodeSet:
-        return frozenset(self.index_of(label) for label in labels)
+        u = 0
+        for label in labels:
+            u |= 1 << self.index_of(label)
+        return u
 
-    def label_set(self, nodes: Iterable[int]) -> tuple[str, ...]:
-        """Labels of ``nodes`` in index (first-appearance) order."""
-        return tuple(self.node_names[v] for v in sorted(nodes))
+    def label_set(self, u: NodeSet) -> tuple[str, ...]:
+        """Labels of the members of ``u`` in index (first-appearance) order."""
+        return tuple(self.node_names[v] for v in _bits(u))
 
     def __repr__(self) -> str:
         return (
@@ -233,55 +225,34 @@ def build_graph(
     return graph
 
 
-def is_connected(g: Graph, nodes: Iterable[int]) -> bool:
-    """True iff the subgraph induced by ``nodes`` is connected.
-
-    The empty set and singletons are connected by convention.
-    """
-    return _connected_mask(g.adjacency_masks, _mask(nodes))
-
-
-def cut_edges(g: Graph, nodes: Iterable[int]) -> Cut:
-    """The edges with exactly one endpoint inside ``nodes``."""
-    m = _mask(nodes)
-    if m == 0 or m == g.full_mask:
+def cut_edges(g: Graph, u: NodeSet) -> Cut:
+    """The edges with exactly one endpoint in ``u``."""
+    if u == 0 or u == g.full_mask:
         raise EmptyOrFullSet("cut is undefined for the empty or full node set")
-    return frozenset(e for e in g.edges if ((m >> e[0]) ^ (m >> e[1])) & 1)
+    return frozenset(e for e in g.edges if ((u >> e[0]) ^ (u >> e[1])) & 1)
 
 
-def is_mcv(g: Graph, nodes: Iterable[int]) -> bool:
-    """Does ``nodes`` generate a minimal s-t cut?
+def is_mcv(g: Graph, u: NodeSet) -> bool:
+    """Does ``u`` generate a minimal s-t cut?
 
     True iff the set contains the source but not the sink and both it and
     its complement induce connected subgraphs; the crossing edges of such a
     set form a minimal (irreducible) s-t cut, and every minimal s-t cut
     arises this way.
     """
-    return _is_mcv_mask(g, _mask(nodes))
-
-
-def _is_mcv_mask(g: Graph, m: int) -> bool:
-    if not (m >> g.source) & 1 or (m >> g.sink) & 1:
+    if not (u >> g.source) & 1 or (u >> g.sink) & 1:
         return False
     adj = g.adjacency_masks
-    return _connected_mask(adj, m) and _connected_mask(adj, g.full_mask & ~m)
-
-
-def boundary_nodes(g: Graph, nodes: Iterable[int]) -> NodeSet:
-    """The members of ``nodes`` incident to at least one crossing edge."""
-    m = _mask(nodes)
-    if m == 0 or m == g.full_mask:
-        raise EmptyOrFullSet("boundary is undefined for the empty or full node set")
-    outside = g.full_mask & ~m
-    return frozenset(v for v in _bits(m) if g.adjacency_masks[v] & outside)
+    return _connected_mask(adj, u) and _connected_mask(adj, g.full_mask & ~u)
 
 
 @dataclass(frozen=True)
 class PruneReport:
     """Result of stripping nodes that lie on no simple source-sink path.
 
-    ``removed_nodes`` uses the original graph's indices; ``pruned_graph``
-    is re-densified, so match nodes by label when relating the two.
+    ``removed_nodes`` is a mask over the original graph's indices;
+    ``pruned_graph`` is re-densified, so match nodes by label when relating
+    the two.
     """
 
     removed_nodes: NodeSet
@@ -332,12 +303,13 @@ def prune_irrelevant(g: Graph) -> PruneReport:
     for w in order:
         if (keep >> parent[w]) & 1 and low[w] < disc[parent[w]]:
             keep |= 1 << w
-    removed_nodes = frozenset(_bits(g.full_mask & ~keep))
+    removed_nodes = g.full_mask & ~keep
     if not removed_nodes:
         return PruneReport(removed_nodes, g)
 
+    names = g.node_names
     surviving = [
-        g.label_set(e) for e in sorted(g.edges) if (keep >> e[0]) & (keep >> e[1]) & 1
+        (names[u], names[v]) for u, v in sorted(g.edges) if (keep >> u) & (keep >> v) & 1
     ]
-    pruned = build_graph(surviving, g.node_names[s], g.node_names[t])
+    pruned = build_graph(surviving, names[s], names[t])
     return PruneReport(removed_nodes, pruned)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .enumeration import EnumerationReport
-from .graph import Cut, Graph, NodeSet, _bits, _is_mcv_mask, cut_edges, is_mcv
+from .graph import Cut, Graph, NodeSet, cut_edges, is_mcv
 
 __all__ = [
     "DiffReport",
@@ -32,8 +32,8 @@ class TooLarge(ValueError):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Every cut-generating node set of ``graph``; ``cuts`` holds their
-    crossing-edge sets and is computed on first access."""
+    """Every cut-generating node set of ``graph``, as bitmasks; ``cuts``
+    holds their crossing-edge sets and is computed on first access."""
 
     mcvs: frozenset[NodeSet]
     graph: Graph
@@ -62,8 +62,8 @@ def brute_force_mcvs(g: Graph) -> OracleResult:
     sub = 0
     while True:
         m = source_bit | sub
-        if _is_mcv_mask(g, m):
-            mcvs.append(frozenset(_bits(m)))
+        if is_mcv(g, m):
+            mcvs.append(m)
         if sub == free:
             break
         sub = (sub - free) & free
@@ -72,7 +72,7 @@ def brute_force_mcvs(g: Graph) -> OracleResult:
 
 @dataclass(frozen=True)
 class DiffReport:
-    """Set comparison of an enumeration run against the oracle.
+    """Set comparison of an enumeration run against the oracle, over masks.
 
     ``missing`` holds oracle sets the run never produced; ``spurious``
     holds run output absent from the oracle, of which ``invalid`` singles

@@ -153,8 +153,8 @@ def sparse_graphs(draw):
 
 
 def label_sets(g: Graph, node_sets) -> set[frozenset[str]]:
-    """Index-based node sets to label sets, for comparing against goldens."""
-    return {frozenset(g.node_names[v] for v in u) for u in node_sets}
+    """Node-set masks to label sets, for comparing against goldens."""
+    return {frozenset(g.label_set(u)) for u in node_sets}
 
 
 def as_frozen(label_groups) -> set[frozenset[str]]:

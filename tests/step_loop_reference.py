@@ -36,7 +36,7 @@ def reference_enumerate_mcvs(
     excluded = [1 << g.sink]
     blocked = 0
     saved_blocked: list[int] = []
-    found = [frozenset(stack)]  # the root prefix {s} is itself recorded
+    found = [prefix]  # the root prefix {s} is itself recorded
     trace: list[TraceEvent] = []
     stats = RunStats(steps=1)
 
@@ -78,7 +78,7 @@ def reference_enumerate_mcvs(
                 prefix |= 1 << v
                 rest &= ~(1 << v)
                 excluded.append(excluded[-1])
-                found.append(frozenset(stack))
+                found.append(prefix)
                 stats.records += 1
                 emit(TraceStep.STEP3_RECORD, v)
             else:

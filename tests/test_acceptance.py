@@ -112,9 +112,7 @@ def test_criterion_2_golden_trace_replay(fig1):
     report = enumerate_mcvs(fig1, opts)
     try:
         assert report.status is RunStatus.COMPLETED
-        discovered = [
-            frozenset(fig1.node_names[v] for v in u) for u in report.mcvs
-        ]
+        discovered = [frozenset(fig1.label_set(u)) for u in report.mcvs]
         assert discovered == [frozenset(u) for u in FIG1_PAPER_DISCOVERY]
         events = [
             (

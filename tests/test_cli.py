@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -233,7 +234,7 @@ def _awkward_graphs(draw):
 def _label_rows(g, sets, cuts):
     names = g.node_names
     return (
-        [sorted(names[v] for v in u) for u in sets],
+        [sorted(g.label_set(u)) for u in sets],
         [sorted(sorted([names[a], names[b]]) for a, b in cut) for cut in cuts],
     )
 
@@ -265,8 +266,7 @@ def test_awkward_labels_stream_canonical_json(tmp_path, graph, all_sinks, algori
     for sink, got in zip(sinks, runs):
         g = prune_irrelevant(build_graph(edges, source, sink)).pruned_graph
         if algorithm == "oracle":
-            sets = sorted(brute_force_mcvs(g).mcvs,
-                          key=lambda u: sorted(g.node_names[v] for v in u))
+            sets = sorted(brute_force_mcvs(g).mcvs, key=lambda u: sorted(g.label_set(u)))
             cuts = [cut_edges(g, u) for u in sets]
         else:
             report = enumerate_mcvs(g)
@@ -274,19 +274,24 @@ def test_awkward_labels_stream_canonical_json(tmp_path, graph, all_sinks, algori
         assert (got["mcvs"], got["cuts"]) == _label_rows(g, sets, cuts)
 
 
-def _text_set(g, u):
-    return "{" + ",".join(g.node_names[v] for v in sorted(u)) + "}"
+def _members(u):
+    """The node indices in mask ``u``."""
+    return [v for v in range(u.bit_length()) if u >> v & 1]
+
+
+def _text_set(g, nodes):
+    return "{" + ",".join(g.node_names[v] for v in sorted(nodes)) + "}"
 
 
 def _text_cut(g, u):
-    crossing = sorted((a, b) for a, b in g.edges if (a in u) != (b in u))
+    crossing = sorted((a, b) for a, b in g.edges if (u >> a & 1) != (u >> b & 1))
     return "{" + ", ".join(f"{g.node_names[a]}-{g.node_names[b]}" for a, b in crossing) + "}"
 
 
 def _text_rows(g, report, comparison):
     """The indented rows of one run's text report, rendered from its parts:
     labels in index order, edges as ``u-v`` sorted by index."""
-    rows = [f"  {_text_set(g, u)}  cut {_text_cut(g, u)}" for u in report.mcvs]
+    rows = [f"  {_text_set(g, _members(u))}  cut {_text_cut(g, u)}" for u in report.mcvs]
     for ev in report.trace:
         parts = [ev.step.value, f"prefix={_text_set(g, ev.prefix)}"]
         if ev.node is not None:
@@ -295,8 +300,8 @@ def _text_rows(g, report, comparison):
             parts.append(f"candidates={_text_set(g, ev.candidates)}")
         rows.append("  " + " ".join(parts))
     for name, group in (("missing", comparison.missing), ("spurious", comparison.spurious)):
-        for u in sorted(group, key=lambda u: sorted(g.node_names[v] for v in u)):
-            rows.append(f"  {name}: {_text_set(g, u)}")
+        for u in sorted(group, key=lambda u: sorted(g.label_set(u))):
+            rows.append(f"  {name}: {_text_set(g, _members(u))}")
     return rows
 
 
@@ -350,6 +355,62 @@ def test_text_rows_render_labels_in_index_order(tmp_path, graph, engine, prune):
                          EXIT_OK if comparison.agree else EXIT_MISMATCH))
     assert code == max(codes)
     assert [line for line in out.splitlines() if line.startswith("  ")] == expected
+
+
+_LONG_LABELS = ["x" * 10_000, "y" * 10_000]
+
+
+@st.composite
+def _rough_edge_files(draw):
+    """Edge-list bytes with mixed line endings, comments, blank lines and
+    labels of 10,000 characters: a tree on ``s``, ``t`` and up to four more
+    labels plus chords, which may be self-loops."""
+    names = ["s", "t"] + draw(st.lists(st.sampled_from(["a", "b", *_LONG_LABELS]),
+                                       unique=True, max_size=4))
+    lines = [f"{names[draw(st.integers(0, i - 1))]} {x}" for i, x in enumerate(names) if i]
+    chords = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    lines += [f"{a} {b}" for a, b in draw(st.lists(chords, max_size=3))]
+    lines += draw(st.lists(st.sampled_from(["", "# note", "  "]), max_size=3))
+    lines = draw(st.permutations(lines))
+    newlines = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                             min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, newlines)).encode()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_rough_edge_files(), output_format=st.sampled_from(["text", "json"]),
+       all_sinks=st.booleans(), prune=st.booleans(), emit_cuts=st.booleans())
+def test_rough_input_exits_zero_or_one(tmp_path, data, output_format, all_sinks, prune,
+                                      emit_cuts):
+    path = tmp_path / "rough.edges"
+    path.write_bytes(data)
+    argv = ["run", str(path), "--format", output_format, "--prune" if prune else "--no-prune"]
+    argv += ["--all-sinks"] * all_sinks + ["--emit-cuts"] * emit_cuts
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK and output_format == "json":
+        json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("output_format", ["text", "json"])
+def test_crlf_long_labels_all_sinks_in_a_process(tmp_path, output_format):
+    # A pendant long label is pruned for every sink but itself.
+    x, y = _LONG_LABELS
+    path = tmp_path / "crlf.edges"
+    path.write_bytes(f"s {x}\r\n{x} t\r\ns a\r\na t\r\nt {y}\r\n".encode())
+    result = subprocess.run(
+        [sys.executable, "-m", "mincuts.cli", "run", str(path), "--all-sinks",
+         "--emit-cuts", "--format", output_format],
+        env=_cli_env(), capture_output=True, text=True,
+    )
+    assert result.returncode == EXIT_OK
+    assert "Traceback" not in result.stderr
+    assert f"warning: pruned nodes on no source-sink path: {y}" in result.stderr
+    assert x in result.stdout and "\r" not in result.stdout
 
 
 class TestYehRuns:
@@ -656,10 +717,15 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "policies, message",
-        [("scoped,foo", "unknown b-policy 'foo'"), (",", "no b-policy given")],
+        [
+            ("scoped,foo", "unknown b-policy 'foo'"),
+            (",", "no b-policy given"),
+            ("scoped,scoped", "b-policy 'scoped' given twice"),
+        ],
     )
     def test_corpus_bad_b_policies_exit_one(self, policies, message, capsys):
-        # Before: ``foo`` ran as persistent (exit 2), ``,`` ran nothing (exit 0).
+        # Before: ``foo`` ran as persistent (exit 2), ``,`` ran nothing (exit 0),
+        # ``scoped,scoped`` ran every scoped check twice (exit 0).
         code = main(["corpus", "--count", "3", "--seed", "1", "--b-policies", policies])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE

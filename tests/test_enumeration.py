@@ -22,7 +22,7 @@ from mincuts.enumeration import (
     YehPolicy,
     run_yeh_original,
 )
-from mincuts.graph import _mask, boundary_nodes, is_mcv
+from mincuts.graph import _bits, is_mcv
 from mincuts.corpus import CorpusSpec, corpus_entries
 from mincuts.oracle import brute_force_mcvs
 
@@ -65,9 +65,7 @@ class TestCorrectedOnFig1:
         )
         report = enumerate_mcvs(fig1, opts)
         assert report.status is RunStatus.COMPLETED
-        discovered = [
-            frozenset(fig1.node_names[v] for v in u) for u in report.mcvs
-        ]
+        discovered = [frozenset(fig1.label_set(u)) for u in report.mcvs]
         assert discovered == [frozenset(u) for u in FIG1_PAPER_DISCOVERY]
 
     def test_paper_scripted_run_disconnected_events(self, fig1):
@@ -149,9 +147,10 @@ class TestInvariants:
         assert "cuts" not in vars(report)  # built on first read only
         assert len(report.cuts) == len(report.mcvs)
         for u, cut in zip(report.mcvs, report.cuts):
-            assert boundary_nodes(fig1, u) == frozenset(
-                v for e in cut for v in e if v in u
-            )
+            # The members with a neighbour outside are the cut's inner ends.
+            outside = fig1.full_mask & ~u
+            boundary = {v for v in _bits(u) if fig1.adjacency_masks[v] & outside}
+            assert boundary == {v for e in cut for v in e if u >> v & 1}
 
     def test_work_accounting(self, fig1):
         opts = EnumerationOptions(record_trace=True)
@@ -383,8 +382,8 @@ class TestSourceSinkSwap:
     @staticmethod
     def _assert_swap_complements(g):
         swapped = dataclasses.replace(g, source=g.sink, sink=g.source)
-        forward = [_mask(u) for u in enumerate_mcvs(g).mcvs]
-        backward = {g.full_mask ^ _mask(u) for u in enumerate_mcvs(swapped).mcvs}
+        forward = enumerate_mcvs(g).mcvs
+        backward = {g.full_mask ^ u for u in enumerate_mcvs(swapped).mcvs}
         assert set(forward) == backward
         return len(forward)
 
@@ -397,6 +396,85 @@ class TestSourceSinkSwap:
     @given(g=sparse_graphs())
     def test_pruned_sparse_graphs(self, g):
         self._assert_swap_complements(prune_irrelevant(g).pruned_graph)
+
+
+class TestEdgeSubdivision:
+    """A metamorphic check past the oracle's node limit.
+
+    Putting a new node ``x`` on an edge ``a-b`` adds ``x`` to every result
+    set that holds both ends, and splits every set with one end into the
+    set with ``x`` and the set without. So the family grows by exactly the
+    number of cuts that contain the edge.
+    """
+
+    @staticmethod
+    def _assert_subdivision_adds_crossing_cuts(g, edge):
+        names = g.node_names
+        a, b, x = names[edge[0]], names[edge[1]], "subdivision"
+        pairs = [(names[u], names[v]) for u, v in sorted(g.edges) if (u, v) != edge]
+        h = build_graph(pairs + [(a, x), (x, b)], names[g.source], names[g.sink])
+        report = enumerate_mcvs(g)
+        crossing = sum(edge in cut for cut in report.cuts)
+        expected = set()
+        for labels in label_sets(g, report.mcvs):
+            ends = (a in labels) + (b in labels)
+            if ends < 2:
+                expected.add(labels)
+            if ends > 0:
+                expected.add(labels | {x})
+        subdivided = enumerate_mcvs(h).mcvs
+        assert len(subdivided) == len(report.mcvs) + crossing
+        assert label_sets(h, subdivided) == expected
+
+    @pytest.mark.parametrize("a, b", [("s", "0.1"), ("1.3", "2.3"), ("3.5", "t")])
+    def test_grid(self, a, b):
+        g = build_graph(grid_graph_edges(4, 7), "s", "t")
+        edge = tuple(sorted((g.index_of(a), g.index_of(b))))
+        self._assert_subdivision_adds_crossing_cuts(g, edge)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), g=sparse_graphs())
+    def test_pruned_sparse_graphs(self, data, g):
+        g = prune_irrelevant(g).pruned_graph
+        edge = data.draw(st.sampled_from(sorted(g.edges)))
+        self._assert_subdivision_adds_crossing_cuts(g, edge)
+
+
+class TestRelabelling:
+    """Relabelling the non-terminals and shuffling the edge lines changes
+    the node indices, and with them the search order, but not the cuts."""
+
+    @staticmethod
+    def _label_cuts(g, rename=None):
+        """``g``'s cuts as sets of label pairs, labels passed through ``rename``."""
+        names = [rename[x] for x in g.node_names] if rename else g.node_names
+        pair = {(a, b): frozenset((names[a], names[b])) for a, b in g.edges}
+        return [frozenset(map(pair.__getitem__, cut)) for cut in enumerate_mcvs(g).cuts]
+
+    def _assert_relabelled_cuts_agree(self, g, rnd):
+        names = g.node_names
+        others = [v for v in range(g.node_count) if v not in (g.source, g.sink)]
+        fresh = [f"n{i}" for i in range(len(others))]
+        rnd.shuffle(fresh)
+        label = {v: names[v] for v in (g.source, g.sink)} | dict(zip(others, fresh))
+        lines = [(label[u], label[v]) for u, v in sorted(g.edges)]
+        lines = [line if rnd.random() < 0.5 else line[::-1] for line in lines]
+        rnd.shuffle(lines)
+        h = build_graph(lines, names[g.source], names[g.sink])
+        got = self._label_cuts(h, rename={label[v]: names[v] for v in range(g.node_count)})
+        want = self._label_cuts(g)
+        assert len(got) == len(want) == len(set(want))
+        assert set(got) == set(want)
+
+    @settings(max_examples=4, deadline=None)
+    @given(rnd=st.randoms(use_true_random=False))
+    def test_grid(self, rnd):
+        self._assert_relabelled_cuts_agree(build_graph(grid_graph_edges(4, 7), "s", "t"), rnd)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=sparse_graphs(), rnd=st.randoms(use_true_random=False))
+    def test_pruned_sparse_graphs(self, g, rnd):
+        self._assert_relabelled_cuts_agree(prune_irrelevant(g).pruned_graph, rnd)
 
 
 class TestPredecessorStructure:
@@ -414,11 +492,14 @@ class TestPredecessorStructure:
         for entry in corpus_entries(spec):
             g = entry.graph
             for u in brute_force_mcvs(g).mcvs:
-                if len(u) < 2:
+                if u.bit_count() < 2:
                     continue
                 checked += 1
-                options = boundary_nodes(g, u) - {g.source}
-                if not any(is_mcv(g, u - {j}) for j in options):
+                outside = g.full_mask & ~u
+                options = [
+                    j for j in _bits(u) if j != g.source and g.adjacency_masks[j] & outside
+                ]
+                if not any(is_mcv(g, u & ~(1 << j)) for j in options):
                     failures.append((entry.seed, g.label_set(u)))
         if failures:
             warnings.warn(

@@ -16,10 +16,7 @@ from mincuts.graph import (
     _bits,
     _connected_mask,
     _connected_without,
-    _mask,
-    boundary_nodes,
     cut_edges,
-    is_connected,
     is_mcv,
 )
 from mincuts.corpus import CorpusSpec, corpus_entries
@@ -64,7 +61,7 @@ class TestBuildGraph:
         g = build_graph([("s", "t"), ("t", "s"), ("s", "a"), ("a", "t")], "s", "t")
         assert g.edge_count == 3
         assert g.parallel_edges_merged == 1
-        assert tuple(sorted(g.node_set("s", "t"))) in g.edges
+        assert tuple(_bits(g.node_set("s", "t"))) in g.edges
 
     def test_first_appearance_indexing(self, fig1):
         assert fig1.node_names == ("s", "1", "2", "3", "4", "t")
@@ -78,16 +75,16 @@ class TestBuildGraph:
 
 class TestConnectivity:
     def test_fig1_2_4_t_is_disconnected(self, fig1):
-        assert not is_connected(fig1, fig1.node_set("2", "4", "t"))
+        assert not _connected_mask(fig1.adjacency_masks, fig1.node_set("2", "4", "t"))
 
     def test_singleton_connected(self, fig1):
-        assert is_connected(fig1, fig1.node_set("t"))
+        assert _connected_mask(fig1.adjacency_masks, fig1.node_set("t"))
 
     def test_whole_graph_connected(self, fig1):
-        assert is_connected(fig1, fig1.all_nodes)
+        assert _connected_mask(fig1.adjacency_masks, fig1.full_mask)
 
     def test_empty_set_connected(self, fig1):
-        assert is_connected(fig1, frozenset())
+        assert _connected_mask(fig1.adjacency_masks, 0)
 
 
 class TestConnectedWithout:
@@ -104,7 +101,7 @@ class TestConnectedWithout:
         ],
     )
     def test_fig1_cases(self, fig1, members, pick, expected):
-        mask, low = _mask(fig1.node_set(*members)), _mask(fig1.node_set(pick))
+        mask, low = fig1.node_set(*members), fig1.node_set(pick)
         adj = fig1.adjacency_masks
         assert _connected_mask(adj, mask)
         assert _connected_without(adj, mask, low) is expected
@@ -115,7 +112,7 @@ class TestConnectedWithout:
     def test_matches_full_bfs_on_search_remainders(self, g):
         adj = g.adjacency_masks
         for u in enumerate_mcvs(g).mcvs:
-            rest = g.full_mask & ~_mask(u)
+            rest = g.full_mask & ~u
             if not _connected_mask(adj, rest):  # unpruned {s} may split it
                 continue
             for v in _bits(rest):
@@ -141,9 +138,9 @@ class TestCutEdges:
 
     def test_empty_and_full_rejected(self, fig1):
         with pytest.raises(EmptyOrFullSet):
-            cut_edges(fig1, frozenset())
+            cut_edges(fig1, 0)
         with pytest.raises(EmptyOrFullSet):
-            cut_edges(fig1, fig1.all_nodes)
+            cut_edges(fig1, fig1.full_mask)
 
 
 class TestIsMcv:
@@ -155,10 +152,12 @@ class TestIsMcv:
     def test_sink_side_or_missing_source(self, fig1):
         assert not is_mcv(fig1, fig1.node_set("1", "2"))
         assert not is_mcv(fig1, fig1.node_set("s", "t"))
-        assert not is_mcv(fig1, frozenset())
+        assert not is_mcv(fig1, 0)
 
 
 class TestBoundaryNodes:
+    """A set's boundary, its members on a crossing edge, read off its cut."""
+
     @pytest.mark.parametrize(
         "members,expected",
         [
@@ -168,35 +167,30 @@ class TestBoundaryNodes:
         ],
     )
     def test_fig1_boundaries(self, fig1, members, expected):
-        got = boundary_nodes(fig1, fig1.node_set(*members))
+        u = fig1.node_set(*members)
+        got = {v for e in cut_edges(fig1, u) for v in e if u >> v & 1}
         assert {fig1.node_names[v] for v in got} == expected
-
-    def test_empty_and_full_rejected(self, fig1):
-        with pytest.raises(EmptyOrFullSet):
-            boundary_nodes(fig1, frozenset())
-        with pytest.raises(EmptyOrFullSet):
-            boundary_nodes(fig1, fig1.all_nodes)
 
 
 class TestPrune:
     def test_fig1_unchanged(self, fig1):
         report = prune_irrelevant(fig1)
-        assert report.removed_nodes == frozenset()
+        assert report.removed_nodes == 0
         assert report.pruned_graph is fig1
 
     def test_pendant_node_removed(self):
         g = build_graph([("s", "a"), ("a", "t"), ("s", "b")], "s", "t")
         report = prune_irrelevant(g)
-        assert {g.node_names[v] for v in report.removed_nodes} == {"b"}
+        assert set(g.label_set(report.removed_nodes)) == {"b"}
         assert set(report.pruned_graph.node_names) == {"s", "a", "t"}
 
     def test_single_edge_unchanged(self):
         g = build_graph([("s", "t")], "s", "t")
-        assert prune_irrelevant(g).removed_nodes == frozenset()
+        assert prune_irrelevant(g).removed_nodes == 0
 
     def test_appendage_collapses_to_single_edge(self, appendage):
         report = prune_irrelevant(appendage)
-        assert {appendage.node_names[v] for v in report.removed_nodes} == {"a", "b"}
+        assert set(appendage.label_set(report.removed_nodes)) == {"a", "b"}
         assert set(report.pruned_graph.node_names) == {"s", "t"}
 
     def test_pendant_blob_removed(self):
@@ -208,12 +202,12 @@ class TestPrune:
             "t",
         )
         report = prune_irrelevant(g)
-        assert {g.node_names[v] for v in report.removed_nodes} == {"x", "y"}
+        assert set(g.label_set(report.removed_nodes)) == {"x", "y"}
 
     def test_idempotent(self, appendage):
         once = prune_irrelevant(appendage).pruned_graph
         again = prune_irrelevant(once)
-        assert again.removed_nodes == frozenset()
+        assert again.removed_nodes == 0
         assert again.pruned_graph is once
 
     def test_source_sink_always_survive(self):
@@ -255,7 +249,7 @@ class TestPrune:
         edges = list(zip(a, b)) + list(zip(a, a[1:])) + list(zip(b, b[1:]))
         g = build_graph(edges, "a0", "b1999")
         report = prune_irrelevant(g)
-        assert report.removed_nodes == frozenset()
+        assert report.removed_nodes == 0
         assert report.pruned_graph is g
 
 
@@ -320,9 +314,10 @@ def test_prune_keeps_exactly_the_nodes_on_simple_st_paths(seed, family):
     report = prune_irrelevant(g)
     pruned = report.pruned_graph
     assert set(pruned.node_names) == expected
-    removed = {g.node_names[v] for v in report.removed_nodes}
+    removed = set(g.label_set(report.removed_nodes))
     assert removed == set(g.node_names) - expected
-    kept_edges = {frozenset(pruned.label_set(e)) for e in pruned.edges}
+    names = pruned.node_names
+    kept_edges = {frozenset((names[a], names[b])) for a, b in pruned.edges}
     assert kept_edges == {frozenset(e) for e in pairs if expected.issuperset(e)}
 
 
@@ -335,13 +330,13 @@ def _seeded_graph(seed: int):
 
 
 def _seeded_candidate_set(g, selector: int):
-    """A subset containing the source but not the sink, from selector bits."""
-    members = {g.source}
+    """A subset mask containing the source but not the sink, from selector bits."""
+    u = 1 << g.source
     free = [v for v in range(g.node_count) if v not in (g.source, g.sink)]
     for j, v in enumerate(free):
         if (selector >> j) & 1:
-            members.add(v)
-    return frozenset(members)
+            u |= 1 << v
+    return u
 
 
 @settings(max_examples=150)
@@ -362,8 +357,9 @@ def test_boundary_is_inside_endpoints_of_cut(seed, selector):
     g = _seeded_graph(seed)
     u = _seeded_candidate_set(g, selector)
     cut = cut_edges(g, u)
-    endpoints_inside = {v for e in cut for v in e if v in u}
-    assert boundary_nodes(g, u) == frozenset(endpoints_inside)
+    endpoints_inside = {v for e in cut for v in e if u >> v & 1}
+    outside = g.full_mask & ~u
+    assert endpoints_inside == {v for v in _bits(u) if g.adjacency_masks[v] & outside}
 
 
 @settings(max_examples=150)
@@ -392,7 +388,7 @@ def test_connectivity_invariant_under_edge_order(seed, shuffle_seed):
     random.Random(shuffle_seed).shuffle(pairs)
     h = build_graph(pairs, "s", "t")
     for selector in range(min(1 << (g.node_count - 2), 64)):
-        u_labels = {g.node_names[v] for v in _seeded_candidate_set(g, selector)}
+        u_labels = g.label_set(_seeded_candidate_set(g, selector))
         assert is_mcv(g, g.node_set(*u_labels)) == is_mcv(h, h.node_set(*u_labels))
 
 
