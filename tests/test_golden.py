@@ -6,7 +6,9 @@ Each case runs the CLI once as canonical JSON and once as text with
 its output, the traced replica cases on ``fig1`` before the replica ran
 as one step loop, the two mismatching oracle comparisons before text rows
 were joined from the JSON writer's fragments, and the unpruned replica
-cases on ``appendage`` before the replica kept its state in locals; any
+cases on ``appendage`` before the replica kept its state in locals, and the
+``grid3x4`` cases (12 nodes and 17 edges, so rows span more than one byte
+of node and edge bits) before rows were looked up in per-byte tables; any
 change to them is a change of the behaviour contract.
 
 Re-record (only for an intended output change) with
@@ -47,6 +49,9 @@ CASES = [
     (fixture, name, flags, 0)
     for fixture in ("fig1", "appendage", "path3", "k4")
     for name, flags in VARIANTS.items()
+] + [
+    ("grid3x4", name, VARIANTS[name], 0)
+    for name in ("default", "compare-oracle", "all-sinks")
 ] + [
     ("fig1", "yeh-goto-step3", YEH_STEP3, 1),
     (
