@@ -14,7 +14,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from json.encoder import encode_basestring_ascii
+from operator import add, xor
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -368,55 +370,119 @@ def _indent(level: int) -> str:
     return "\n" + "  " * level
 
 
+_CHUNK = 8  # mask bits per table lookup: one byte, as ``int.to_bytes`` splits a mask
+_lookup = dict.__getitem__
+
+
+class _ChunkTables(list):
+    """One lookup table per byte of a mask over ``values``, whose item ``i``
+    stands for bit ``i``.
+
+    Table ``k`` maps byte ``k`` of a mask to the ``join`` of the values of
+    its set bits, lowest bit first. A table is a plain ``dict``, so that
+    CPython specialises the lookups, and starts as ``{0: zero}``. A lookup
+    that misses goes through :meth:`filled`, which builds the byte from its
+    lowest bit plus the entry for the remaining bits. A full table holds
+    256 entries, each as wide as the mask or text it stands for; filled on
+    use, the tables grow with the rows rendered, not with the graph.
+    """
+
+    def __init__(self, values: Sequence, zero, join) -> None:
+        self._values = [values[i:i + _CHUNK] for i in range(0, len(values), _CHUNK)]
+        super().__init__({0: zero} for _ in self._values)
+        self._join = join
+
+    def filled(self, m: int) -> list:
+        """The entry of each byte of ``m``, lowest byte first, filling the
+        tables where they miss."""
+        chunks = m.to_bytes(len(self), "little")
+        for table, values, b in zip(self, self._values, chunks):
+            self._fill(table, values, b)
+        return list(map(_lookup, self, chunks))
+
+    def _fill(self, table: dict, values: Sequence, b: int) -> None:
+        if b not in table:
+            low = b & -b
+            self._fill(table, values, b ^ low)
+            table[b] = self._join(values[low.bit_length() - 1], table[b ^ low])
+
+
 class _RowFragments:
     """One graph's node labels and edges, pre-rendered once for every row.
 
-    Each fragment is paired with the mask of its node or of its edge's two
-    ends. A set row (``mcvs``, a trace's prefix or candidates, an oracle
-    diff) is the join of the fragments of the nodes in its mask, a ``cuts``
-    row the join of the fragments of the edges ``e`` with ``0 < u & e < e``,
-    that is with exactly one end in ``u``. Text ranks fragments by index
-    and writes ``{s,1}`` and ``{s-2, 1-3}``. JSON ranks them by label and by
-    sorted label pair, so each row comes out as ``json.dumps`` of the sorted
-    label lists would at the rows' ``level``. No row is empty: a set holds
-    the source and not the sink of a connected graph. A JSON ``trace`` row
-    is an object whose label lists keep the event's order.
+    Each node fragment and each edge fragment has a position in its row
+    order, and a row is a mask over those positions. A set row (``mcvs``,
+    a trace's prefix or candidates, an oracle diff) XORs the position bits
+    of the nodes in ``u``; a ``cuts`` row XORs the incidence masks of the
+    nodes in ``u``, the edges touching each: an edge with both ends in ``u``
+    is toggled twice and drops out, so only the edges with exactly one end
+    in ``u`` remain. Both maps, and the join of the fragments of a position
+    mask, are read ``_CHUNK`` bits at a time from :class:`_ChunkTables`;
+    each text fragment carries its separator in front, sliced off the row's
+    first. Text ranks fragments by index and writes ``{s,1}`` and
+    ``{s-2, 1-3}``. JSON ranks them by label and by sorted label pair, so
+    each row comes out as ``json.dumps`` of the sorted label lists would at
+    the rows' ``level``. No row is empty: a set holds the source and not
+    the sink of a connected graph. A JSON ``trace`` row is an object whose
+    label lists keep the event's order.
     """
 
     def __init__(self, g: Graph, level: int | None) -> None:
         """``level`` is the JSON nesting level of the rows; ``None`` is text."""
         names = g.node_names
         if level is None:
-            self._nodes = [(1 << v, x) for v, x in enumerate(names)]
-            self._edges = [
-                ((1 << u) | (1 << v), f"{names[u]}-{names[v]}") for u, v in sorted(g.edges)
+            node_sep, edge_sep = ",", ", "
+            by_rank = range(len(names))
+            ends = sorted(g.edges)
+            nodes = [node_sep + names[v] for v in by_rank]
+            edges = [f"{edge_sep}{names[u]}-{names[v]}" for u, v in ends]
+            self._open, self._close = "{", "}"
+        else:
+            node_sep = edge_sep = ","
+            label = [encode_basestring_ascii(x) for x in names]
+            item, inner = _indent(level + 1), _indent(level + 2)
+            by_rank = sorted(range(len(names)), key=names.__getitem__)
+            ends = sorted(
+                (sorted(e, key=names.__getitem__) for e in g.edges),
+                key=lambda e: (names[e[0]], names[e[1]]),
+            )
+            nodes = [node_sep + item + label[v] for v in by_rank]
+            edges = [
+                f"{edge_sep}{item}[{inner}{label[u]},{inner}{label[v]}{item}]" for u, v in ends
             ]
-            self._open, self._node_sep, self._edge_sep, self._close = "{", ",", ", ", "}"
-            return
-        label = [encode_basestring_ascii(x) for x in names]
-        item, inner = _indent(level + 1), _indent(level + 2)
-        by_label = sorted(range(len(names)), key=names.__getitem__)
-        self._nodes = [(1 << v, item + label[v]) for v in by_label]
-        self._label, self._item = label, item
-        self._deep = [inner + x for x in label]
-        ends = sorted(
-            (sorted(e, key=names.__getitem__) for e in g.edges),
-            key=lambda e: (names[e[0]], names[e[1]]),
-        )
-        self._edges = [
-            ((1 << u) | (1 << v), f"{item}[{inner}{label[u]},{inner}{label[v]}{item}]")
-            for u, v in ends
-        ]
-        self._end = _indent(level)
-        self._open, self._node_sep, self._edge_sep, self._close = "[", ",", ",", self._end + "]"
+            self._label, self._item = label, item
+            self._deep = [inner + x for x in label]
+            self._end = _indent(level)
+            self._open, self._close = "[", self._end + "]"
+        position = [0] * len(names)
+        for rank, v in enumerate(by_rank):
+            position[v] = 1 << rank
+        incidence = [0] * len(names)
+        for rank, (u, v) in enumerate(ends):
+            incidence[u] |= 1 << rank
+            incidence[v] |= 1 << rank
+        self._node_positions = _ChunkTables(position, 0, xor)
+        self._incidence = _ChunkTables(incidence, 0, xor)
+        self._node_text = _ChunkTables(nodes, "", add)
+        self._edge_text = _ChunkTables(edges, "", add)
+        self._node_skip, self._edge_skip = len(node_sep), len(edge_sep)
 
     def mcv(self, u: NodeSet) -> str:
-        body = self._node_sep.join([f for bit, f in self._nodes if u & bit])
-        return self._open + body + self._close
+        return self._row(self._node_positions, self._node_text, self._node_skip, u)
 
     def cut(self, u: NodeSet) -> str:
-        body = self._edge_sep.join([f for e, f in self._edges if 0 < u & e < e])
-        return self._open + body + self._close
+        return self._row(self._incidence, self._edge_text, self._edge_skip, u)
+
+    def _row(self, masks: _ChunkTables, texts: _ChunkTables, skip: int, u: NodeSet) -> str:
+        """XOR the ``masks`` entries of ``u``'s bytes into a position mask,
+        and join the ``texts`` entries of its bytes."""
+        try:
+            p = reduce(xor, map(_lookup, masks, u.to_bytes(len(masks), "little")))
+            body = "".join(map(_lookup, texts, p.to_bytes(len(texts), "little")))
+        except KeyError:
+            p = reduce(xor, masks.filled(u))
+            body = "".join(texts.filled(p))
+        return self._open + body[skip:] + self._close
 
     def _labels(self, nodes: tuple[int, ...]) -> str:
         """A label list in the given order, one level below the row's keys."""
@@ -435,20 +501,24 @@ class _RowFragments:
         )
 
 
-def _json_array(items: Iterable[Iterable[str]], level: int) -> Iterator[str]:
-    """A JSON array at nesting ``level``; each item is the chunks of one
-    element rendered a level deeper."""
-    opener, pad = "[", _indent(level + 1)
-    for chunks in items:
-        yield opener + pad
-        yield from chunks
-        opener = ","
-    yield "[]" if opener == "[" else _indent(level) + "]"
+def _json_array(rows: Iterable[str], level: int) -> Iterator[str]:
+    """A JSON array at nesting ``level`` of rows rendered a level deeper,
+    each row yielded with the separator in front of it."""
+    pad = _indent(level + 1)
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[" + pad + first
+    yield from map(("," + pad).__add__, rows)
+    yield _indent(level) + "]"
 
 
 def _run_json(run: _SinkRun, config: RunConfig, level: int) -> Iterator[str]:
     """One run's JSON object at nesting ``level``, as a stream of chunks:
-    one per ``mcvs``, ``cuts`` and ``trace`` row, one per other key.
+    one per ``mcvs``, ``cuts`` and ``trace`` row with its separator, one per
+    other key.
 
     The small keys go through ``json.dumps`` with every newline shifted to
     the key's depth (a JSON string never holds a raw newline); the ``mcvs``,
@@ -457,12 +527,9 @@ def _run_json(run: _SinkRun, config: RunConfig, level: int) -> Iterator[str]:
     fields = _json_fields(run, config)
     sets = _mcv_sets(run)
     rows = _RowFragments(run.graph, level + 2)
-    streamed = {
-        "mcvs": ([rows.mcv(u)] for u in sets),
-        "cuts": ([rows.cut(u)] for u in sets),
-    }
+    streamed = {"mcvs": map(rows.mcv, sets), "cuts": map(rows.cut, sets)}
     if config.trace and run.report is not None:
-        streamed["trace"] = ([rows.trace(ev)] for ev in run.report.trace)
+        streamed["trace"] = map(rows.trace, run.report.trace)
     opener, pad = "{", _indent(level + 1)
     for key in sorted([*fields, *streamed]):
         yield f'{opener}{pad}"{key}": '
@@ -485,9 +552,11 @@ def canonical_json(runs: Sequence[_SinkRun], config: RunConfig, out: TextIO) -> 
     ever held whole.
     """
     if config.all_sinks:
-        out.write('{\n  "runs": ')
-        out.writelines(_json_array((_run_json(r, config, 2) for r in runs), 1))
-        out.write("\n}\n")
+        out.write('{\n  "runs": [')
+        for i, r in enumerate(runs):
+            out.write(",\n    " if i else "\n    ")
+            out.writelines(_run_json(r, config, 2))
+        out.write("\n  ]\n}\n")
     else:
         out.writelines(_run_json(runs[0], config, 0))
         out.write("\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -35,12 +36,14 @@ from mincuts.cli import (
     EXIT_USAGE,
     ParseError,
     RunConfig,
+    _ChunkTables,
+    _RowFragments,
     main,
     parse_edge_list,
     run,
 )
 
-from .conftest import FIXTURES, as_frozen, FIG1_GOLDEN
+from .conftest import FIXTURES, as_frozen, FIG1_GOLDEN, path_graph_edges, sparse_graphs
 
 
 class TestParseEdgeList:
@@ -355,6 +358,70 @@ def test_text_rows_render_labels_in_index_order(tmp_path, graph, engine, prune):
                          EXIT_OK if comparison.agree else EXIT_MISMATCH))
     assert code == max(codes)
     assert [line for line in out.splitlines() if line.startswith("  ")] == expected
+
+
+@st.composite
+def _relabelled_sparse_graphs(draw):
+    """(source, sink, edges): a sparse graph of up to 40 nodes under awkward
+    labels, its edge lines shuffled, so that its rows span several bytes of
+    node and edge bits and label order differs from index order."""
+    g = draw(sparse_graphs())
+    labels = draw(st.lists(_LABELS, min_size=g.node_count, max_size=g.node_count,
+                           unique=True))
+    edges = draw(st.permutations(sorted(g.edges)))
+    return labels[g.source], labels[g.sink], [(labels[a], labels[b]) for a, b in edges]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=_relabelled_sparse_graphs())
+def test_rows_match_label_sets_and_cut_edges_across_bytes(tmp_path, graph):
+    source, sink, edges = graph
+    path = tmp_path / "sparse.edges"
+    path.write_text("".join(f"{a} {b}\n" for a, b in edges), encoding="utf-8")
+    g = build_graph(edges, source, sink)
+    names, sets = g.node_names, enumerate_mcvs(g).mcvs
+    cuts = [sorted(cut_edges(g, u)) for u in sets]
+    config = RunConfig(str(path), source=source, sink=sink, prune=False, emit_cuts=True)
+
+    code, out, _ = _run(dataclasses.replace(config, output_format="json"))
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    mcv_rows, cut_rows = _label_rows(g, sets, cuts)
+    _assert_rows_equal(payload["mcvs"], mcv_rows)
+    _assert_rows_equal(payload["cuts"], cut_rows)
+
+    code, out, _ = _run(config)
+    assert code == EXIT_OK
+    expected = [
+        "  {" + ",".join(g.label_set(u)) + "}  cut {"
+        + ", ".join(f"{names[a]}-{names[b]}" for a, b in cut) + "}"
+        for u, cut in zip(sets, cuts)
+    ]
+    _assert_rows_equal([line for line in out.splitlines() if line.startswith("  ")], expected)
+
+
+def _assert_rows_equal(got, expected):
+    """Row by row: a failure reports one row, not a diff of thousands."""
+    assert len(got) == len(expected)
+    for row, want in zip(got, expected):
+        assert row == want
+
+
+@pytest.mark.parametrize("level", [None, 2], ids=["text", "json"])
+def test_row_tables_fill_on_use_and_stay_small(level):
+    # 1,500 nodes span 188 bytes of node bits: full tables would hold 256
+    # entries per byte, each as wide as the graph.
+    g = build_graph(path_graph_edges(1500), "s", "t")
+    rows = _RowFragments(g, level)
+    tables = [t for t in vars(rows).values() if isinstance(t, _ChunkTables)]
+    assert len(tables) == 4
+    assert all(len(table) == 1 for t in tables for table in t)
+    for u in enumerate_mcvs(g).mcvs:
+        rows.mcv(u)
+        rows.cut(u)
+    assert all(len(table) < 256 // 4 for t in tables for table in t)
 
 
 _LONG_LABELS = ["x" * 10_000, "y" * 10_000]
