@@ -140,7 +140,7 @@ class TraceStep(str, Enum):
     STOP = "stop"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One step of a run.
 
@@ -159,6 +159,27 @@ class TraceEvent:
 
 @dataclass
 class RunStats:
+    """How many of each numbered step a run took.
+
+    ``step1_visits`` counts passes through step 1 (pick a candidate),
+    ``connectivity_checks`` step 2 (test the pick), ``records`` step 3
+    (descend and record; the root ``{s}`` of the corrected search is not
+    counted) and ``backtracks`` the step-4 entries that pop a level.
+    ``steps`` counts every step entered: step 0, each of the above, and a
+    step 4 that stops the run (the replica also counts the step its budget
+    refuses).
+
+    In the corrected search these follow from the loop's structure, so
+    :func:`enumerate_mcvs` counts only the checks and derives the rest:
+    each record pushes a position and each backtrack pops one, so
+    ``backtracks`` is ``records`` less the positions still open; every pass
+    through step 1 ends in a check, a backtrack or the run's single exit,
+    so ``step1_visits`` is ``connectivity_checks + backtracks + 1``; and
+    ``steps`` adds step 0, those four counts and, on a completed run, the
+    step 4 at the root. :func:`run_yeh_original` counts step by step,
+    because its steps are its budget and a run can stop between any two.
+    """
+
     step1_visits: int = 0
     connectivity_checks: int = 0
     backtracks: int = 0
@@ -261,7 +282,12 @@ def enumerate_mcvs(
     root the remainder is connected, so every other BFS stops once the
     pick's neighbours meet. Untraced ascending runs take the lowest legal
     bit; other runs choose from the legal candidates as an ascending tuple.
-    Trace events are built only when ``opts.record_trace`` is set.
+
+    The loop's only stack is the saved positions, each with the node
+    descended into, and its only counter is the connectivity checks; the
+    other :class:`RunStats` counters are derived after the loop. Trace
+    events are built only when ``opts.record_trace`` is set, and all the
+    events at one position share one prefix tuple.
     """
     opts = opts or EnumerationOptions()
     order = opts.selection_order
@@ -275,45 +301,39 @@ def enumerate_mcvs(
     trace: list[TraceEvent] = []
     adj = g.adjacency_masks
     full = g.full_mask
-    stack = [g.source]
     rest = full & ~(1 << g.source)
     frontier = adj[g.source]  # nodes adjacent to the prefix
     excluded = 1 << g.sink
     blocked = 0
     fails = 0  # picks ``u`` already proven to disconnect ``rest - u``
-    # Per descended level, the parent position's state to restore.
-    saved: list[tuple[int, int, int, int]] = []
+    # Per descended level, the parent position's state to restore and the
+    # node descended into.
+    saved: list[tuple[int, int, int, int, int]] = []
     found = [full ^ rest]  # the root prefix {s} is itself recorded
-    visits = checks = backtracks = 0
-    steps = 1
+    checks = 0
     status = RunStatus.COMPLETED
     if tracing:
-        trace.append(TraceEvent(TraceStep.STEP0, tuple(stack)))
+        path = (g.source,)  # the prefix in stack order, shared by its events
+        trace.append(TraceEvent(TraceStep.STEP0, path))
 
     while True:
         # Step 1: pick a candidate adjacent to the prefix, or give up here.
-        visits += 1
-        steps += 1
         legal = rest & frontier & ~(blocked | excluded)
         if not legal:
             if tracing:
                 raw = tuple(_bits(rest & ~(blocked | excluded)))
-                trace.append(
-                    TraceEvent(TraceStep.STEP1_EXHAUSTED, tuple(stack), None, raw)
-                )
+                trace.append(TraceEvent(TraceStep.STEP1_EXHAUSTED, path, None, raw))
             # Step 4: stop at the root, otherwise back out one level.
-            steps += 1
             if not saved:
                 break
-            backtracks += 1
-            u = stack.pop()
-            frontier, excluded, parent_blocked, fails = saved.pop()
+            frontier, excluded, parent_blocked, fails, u = saved.pop()
             if scoped:
                 blocked = parent_blocked
             rest |= 1 << u
             excluded |= 1 << u
             if tracing:
-                trace.append(TraceEvent(TraceStep.STEP4_BACKTRACK, tuple(stack), u))
+                path = path[:-1]
+                trace.append(TraceEvent(TraceStep.STEP4_BACKTRACK, path, u))
             continue
         if choose is None:
             low = legal & -legal
@@ -325,21 +345,16 @@ def enumerate_mcvs(
                 break
             low = 1 << v
             if tracing:
-                trace.append(
-                    TraceEvent(TraceStep.STEP1_SELECT, tuple(stack), v, candidates)
-                )
+                trace.append(TraceEvent(TraceStep.STEP1_SELECT, path, v, candidates))
 
         # Step 2: keep the pick only if the remainder stays connected without it.
         # Only the root's remainder can be split, so only it needs the full BFS.
-        steps += 1
         checks += 1
         if not low & fails and (_connected_without(adj, rest, low) if saved
                                 else _connected_mask(adj, rest ^ low)):
             # Step 3: descend and record the extended prefix.
-            steps += 1
-            saved.append((frontier, excluded, blocked, fails))
             v = low.bit_length() - 1
-            stack.append(v)
+            saved.append((frontier, excluded, blocked, fails, v))
             rest ^= low
             frontier |= adj[v]
             blocked = 0
@@ -350,23 +365,28 @@ def enumerate_mcvs(
                 fails &= ~near if near else 0
             found.append(full ^ rest)
             if tracing:
-                prefix = tuple(stack)
-                trace.append(TraceEvent(TraceStep.STEP2_CONNECTED, prefix[:-1], v))
-                trace.append(TraceEvent(TraceStep.STEP3_RECORD, prefix, v))
+                trace.append(TraceEvent(TraceStep.STEP2_CONNECTED, path, v))
+                path += (v,)
+                trace.append(TraceEvent(TraceStep.STEP3_RECORD, path, v))
         else:
             blocked |= low
             fails |= low
             if tracing:  # a traced run picks through ``choose``, so ``v`` is set
-                trace.append(TraceEvent(TraceStep.STEP2_DISCONNECTED, tuple(stack), v))
+                trace.append(TraceEvent(TraceStep.STEP2_DISCONNECTED, path, v))
 
     if tracing:
-        trace.append(TraceEvent(TraceStep.STOP, tuple(stack)))
+        trace.append(TraceEvent(TraceStep.STOP, path))
+    # The loop's structure fixes the other counters (see ``RunStats``).
+    records = len(found) - 1
+    backtracks = records - len(saved)
+    visits = checks + backtracks + 1
     stats = RunStats(
         step1_visits=visits,
         connectivity_checks=checks,
         backtracks=backtracks,
-        records=len(found) - 1,
-        steps=steps,
+        records=records,
+        steps=1 + visits + checks + records + backtracks
+        + (status is RunStatus.COMPLETED),
     )
     return EnumerationReport(
         mcvs=tuple(found), trace=tuple(trace), stats=stats, status=status, graph=g

@@ -27,6 +27,7 @@ from mincuts.corpus import CorpusSpec, corpus_entries
 from mincuts.oracle import brute_force_mcvs
 
 from .conftest import (
+    FIG1_EDGES,
     FIG1_GOLDEN,
     FIG1_PAPER_DISCONNECTED,
     FIG1_PAPER_DISCOVERY,
@@ -339,6 +340,22 @@ class TestAnswerPath:
         g = build_graph(edges, "s", "t")
         for opts in _option_grid(g):
             _assert_matches_reference(g, opts)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [FIG1_EDGES, grid_graph_edges(3, 4)],
+        ids=["fig1", "grid3x4"],
+    )
+    def test_events_at_one_position_share_its_prefix(self, edges):
+        # A traced run builds one prefix tuple per position it reaches: the
+        # root's, then one per record and one per backtrack.
+        g = build_graph(edges, "s", "t")
+        for opts in _option_grid(g):
+            if opts.record_trace:
+                report = enumerate_mcvs(g, opts)
+                stats = report.stats
+                prefixes = {id(ev.prefix) for ev in report.trace}
+                assert len(prefixes) == 1 + stats.records + stats.backtracks
 
 
 class TestConnectivityCheckCost:

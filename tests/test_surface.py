@@ -80,3 +80,12 @@ def test_step_loop_reference_shares_no_engine_state():
     assert private <= {"_make_chooser"}
     assert ("mincuts.graph", "_connected_mask") in imported
     assert "_connected_without" not in {name for _, name in imported}
+    # ``enumerate_mcvs`` derives these counters after its loop; the
+    # reference must still count them step by step, or the tests would
+    # check the derivation against a copy of itself.
+    counted = {
+        node.target.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute)
+    }
+    assert {"steps", "step1_visits", "backtracks"} <= counted
