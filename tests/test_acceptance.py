@@ -165,6 +165,45 @@ def test_criterion_3_faulty_replica_failure_modes(fig1):
     )
 
 
+# How many of the 1000 pruned corpus graphs each transfer of the original
+# gets wrong in ascending order, beyond the ``{s}`` it never records:
+# (graphs wrong, graphs with sets missing, graphs with spurious sets, runs
+# stopped by the budget). Counted against the oracle and frozen: any
+# change to a count is a regression signal.
+YEH_DEFECTS = {
+    "goto-step3": (594, 482, 521, 0),
+    "goto-step4": (568, 568, 0, 0),
+    "goto-step1": (578, 578, 0, 521),
+}
+
+
+@pytest.mark.parametrize("transfer", list(YEH_DEFECTS))
+def test_criterion_3_replica_defect_rates(transfer):
+    """The paper's claim as numbers: on most corpus graphs, each transfer
+    of the original misses cut sets or records false ones."""
+    policy = YehPolicy(transfer, step_limit=2000 if transfer == "goto-step1" else None)
+    wrong = missing = spurious = stopped = root_missed = 0
+    for entry in corpus_entries(CORPUS):
+        g = entry.graph
+        report = run_yeh_original(g, policy)
+        comparison = diff(report, brute_force_mcvs(g), g)
+        root = 1 << g.source
+        root_missed += root in comparison.missing
+        missed = comparison.missing - {root}
+        missing += bool(missed)
+        spurious += bool(comparison.spurious)
+        wrong += bool(missed or comparison.spurious)
+        stopped += report.status is RunStatus.STEP_LIMIT_EXCEEDED
+    counts = (wrong, missing, spurious, stopped)
+    _verdict(
+        f"criterion 3 (replica defect rates, {transfer})",
+        counts == YEH_DEFECTS[transfer] and root_missed == 1000,
+        f"{wrong} wrong, {missing} missing, {spurious} spurious, {stopped} stopped",
+    )
+    assert root_missed == 1000
+    assert counts == YEH_DEFECTS[transfer]
+
+
 def _oracle_equivalence(b_policy: str) -> tuple[int, float]:
     started = time.perf_counter()
     result = run_corpus(CORPUS, b_policies=(b_policy,), random_orders=3)

@@ -17,6 +17,7 @@ from .conftest import (
     FIG1_GOLDEN,
     as_frozen,
     complete_graph_edges,
+    grid_graph_edges,
     label_sets,
     path_graph_edges,
     st_connected,
@@ -35,7 +36,51 @@ def small_graphs(draw):
     return build_graph(labelled, str(source), str(sink))
 
 
+@st.composite
+def graphs_with_terminals_in(draw, source_high: bool, sink_high: bool, odd: bool):
+    """Connected graphs of 2 to 14 nodes, ``n`` odd or even, with the source
+    and the sink in the chosen halves of the oracle's tables: node indices
+    below ``n // 2`` form the low half, the rest the high half."""
+    # Both terminals in one half need two nodes there; the low half has n // 2.
+    smallest = {(False, False): 4, (True, True): 3}.get((source_high, sink_high), 2)
+    n = draw(st.sampled_from([k for k in range(smallest, 15) if k % 2 == odd]))
+    h = n // 2
+    # Each node first appears on its tree edge, so labels keep their indices.
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    half = {False: range(h), True: range(h, n)}
+    source = draw(st.sampled_from(half[source_high]))
+    sink = draw(st.sampled_from([v for v in half[sink_high] if v != source]))
+    g = build_graph([(str(a), str(b)) for a, b in edges], str(source), str(sink))
+    assert (g.source, g.sink) == (source, sink)
+    return g
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+    @pytest.mark.parametrize("sink_high", [False, True], ids=["sink-low", "sink-high"])
+    @pytest.mark.parametrize(
+        "source_high", [False, True], ids=["source-low", "source-high"]
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_half_tables_match_definition(self, source_high, sink_high, odd, data):
+        # The scan splits each mask into a low and a high half; every
+        # candidate, in every placement of the terminals, must still be
+        # judged exactly as ``is_mcv`` judges it.
+        g = data.draw(graphs_with_terminals_in(source_high, sink_high, odd))
+        expected = {u for u in range(1 << g.node_count) if is_mcv(g, u)}
+        assert brute_force_mcvs(g).mcvs == expected
+
+    def test_agrees_with_search_on_3x7_grid(self):
+        # 21 nodes, 2**19 subsets: the largest oracle check in the suite.
+        g = build_graph(grid_graph_edges(3, 7), "s", "t")
+        oracle = brute_force_mcvs(g)
+        assert len(oracle.mcvs) == 938
+        assert oracle.mcvs == frozenset(enumerate_mcvs(g).mcvs)
+
+
     @settings(max_examples=200, deadline=None)
     @given(g=small_graphs())
     def test_matches_plain_subset_scan(self, g):

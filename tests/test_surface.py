@@ -89,3 +89,25 @@ def test_step_loop_reference_shares_no_engine_state():
         if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute)
     }
     assert {"steps", "step1_visits", "backtracks"} <= counted
+
+
+def test_oracle_shares_no_engine_helpers():
+    # The oracle is only evidence for the engines if its scan checks
+    # connectivity its own way: from ``mincuts.graph`` it may take the
+    # graph type and the definition, but no private helper, and from the
+    # engine module only the report type it diffs.
+    tree = ast.parse((ROOT / "src" / "mincuts" / "oracle.py").read_text())
+    imported = [
+        (f"mincuts.{node.module}" if node.level else node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert ("mincuts.graph", "is_mcv") in imported
+    assert not [
+        name for module, name in imported
+        if module == "mincuts.graph" and name.startswith("_")
+    ]
+    assert {
+        name for module, name in imported if module == "mincuts.enumeration"
+    } == {"EnumerationReport"}
