@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from json.encoder import encode_basestring_ascii
 from operator import add, xor
@@ -182,17 +182,8 @@ def _edge_labels_sorted(g: Graph, edges) -> list[list[str]]:
     return sorted(sorted([g.node_names[u], g.node_names[v]]) for u, v in edges)
 
 
-def _execute(
-    pairs: list[tuple[str, str]], source: str, sink: str, config: RunConfig,
-    err: TextIO,
-) -> _SinkRun:
-    g = build_graph(pairs, source, sink)
-    if g.parallel_edges_merged:
-        print(
-            f"warning: merged {g.parallel_edges_merged} parallel edge(s)",
-            file=err,
-        )
-
+def _execute(g: Graph, config: RunConfig, err: TextIO) -> _SinkRun:
+    """Prune ``g``, then search, scan or both for the sink it carries."""
     pruned_labels: tuple[str, ...] = ()
     if config.prune:
         prune = prune_irrelevant(g)
@@ -328,14 +319,7 @@ def _json_fields(run: _SinkRun, config: RunConfig) -> dict:
         },
     }
     if run.report is not None:
-        st = run.report.stats
-        fields["stats"] = {
-            "step1_visits": st.step1_visits,
-            "connectivity_checks": st.connectivity_checks,
-            "backtracks": st.backtracks,
-            "records": st.records,
-            "steps": st.steps,
-        }
+        fields["stats"] = asdict(run.report.stats)
         fields["status"] = run.report.status.value
     else:
         fields["stats"] = {"subsets_scanned": 1 << (g.node_count - 2)}
@@ -374,37 +358,32 @@ _CHUNK = 8  # mask bits per table lookup: one byte, as ``int.to_bytes`` splits a
 _lookup = dict.__getitem__
 
 
-class _ChunkTables(list):
-    """One lookup table per byte of a mask over ``values``, whose item ``i``
-    stands for bit ``i``.
+class _ByteTable(dict):
+    """The lookup table for one byte of a mask over ``values``: it maps the
+    byte to the ``join`` of the values of its set bits, lowest bit first.
 
-    Table ``k`` maps byte ``k`` of a mask to the ``join`` of the values of
-    its set bits, lowest bit first. A table is a plain ``dict``, so that
-    CPython specialises the lookups, and starts as ``{0: zero}``. A lookup
-    that misses goes through :meth:`filled`, which builds the byte from its
-    lowest bit plus the entry for the remaining bits. A full table holds
-    256 entries, each as wide as the mask or text it stands for; filled on
-    use, the tables grow with the rows rendered, not with the graph.
+    It starts as ``{0: zero}``. On a miss, :meth:`__missing__` builds the
+    entry from the byte's lowest bit plus the entry for the remaining bits
+    and stores it; a hit is a plain ``dict`` lookup. Filled on use, the
+    tables grow with the rows rendered, not with the graph: a full one
+    holds 256 entries, each as wide as the mask or text it stands for.
     """
 
+    __slots__ = ("_values", "_join")
+
     def __init__(self, values: Sequence, zero, join) -> None:
-        self._values = [values[i:i + _CHUNK] for i in range(0, len(values), _CHUNK)]
-        super().__init__({0: zero} for _ in self._values)
-        self._join = join
+        super().__init__({0: zero})
+        self._values, self._join = values, join
 
-    def filled(self, m: int) -> list:
-        """The entry of each byte of ``m``, lowest byte first, filling the
-        tables where they miss."""
-        chunks = m.to_bytes(len(self), "little")
-        for table, values, b in zip(self, self._values, chunks):
-            self._fill(table, values, b)
-        return list(map(_lookup, self, chunks))
+    def __missing__(self, b: int):
+        low = b & -b
+        entry = self[b] = self._join(self._values[low.bit_length() - 1], self[b ^ low])
+        return entry
 
-    def _fill(self, table: dict, values: Sequence, b: int) -> None:
-        if b not in table:
-            low = b & -b
-            self._fill(table, values, b ^ low)
-            table[b] = self._join(values[low.bit_length() - 1], table[b ^ low])
+
+def _byte_tables(values: Sequence, zero, join) -> list[_ByteTable]:
+    """One :class:`_ByteTable` per byte of a mask over ``values``, lowest first."""
+    return [_ByteTable(values[i:i + _CHUNK], zero, join) for i in range(0, len(values), _CHUNK)]
 
 
 class _RowFragments:
@@ -417,7 +396,7 @@ class _RowFragments:
     nodes in ``u``, the edges touching each: an edge with both ends in ``u``
     is toggled twice and drops out, so only the edges with exactly one end
     in ``u`` remain. Both maps, and the join of the fragments of a position
-    mask, are read ``_CHUNK`` bits at a time from :class:`_ChunkTables`;
+    mask, are read ``_CHUNK`` bits at a time, one :class:`_ByteTable` a byte;
     each text fragment carries its separator in front, sliced off the row's
     first. Text ranks fragments by index and writes ``{s,1}`` and
     ``{s-2, 1-3}``. JSON ranks them by label and by sorted label pair, so
@@ -461,10 +440,10 @@ class _RowFragments:
         for rank, (u, v) in enumerate(ends):
             incidence[u] |= 1 << rank
             incidence[v] |= 1 << rank
-        self._node_positions = _ChunkTables(position, 0, xor)
-        self._incidence = _ChunkTables(incidence, 0, xor)
-        self._node_text = _ChunkTables(nodes, "", add)
-        self._edge_text = _ChunkTables(edges, "", add)
+        self._node_positions = _byte_tables(position, 0, xor)
+        self._incidence = _byte_tables(incidence, 0, xor)
+        self._node_text = _byte_tables(nodes, "", add)
+        self._edge_text = _byte_tables(edges, "", add)
         self._node_skip, self._edge_skip = len(node_sep), len(edge_sep)
 
     def mcv(self, u: NodeSet) -> str:
@@ -473,15 +452,12 @@ class _RowFragments:
     def cut(self, u: NodeSet) -> str:
         return self._row(self._incidence, self._edge_text, self._edge_skip, u)
 
-    def _row(self, masks: _ChunkTables, texts: _ChunkTables, skip: int, u: NodeSet) -> str:
+    def _row(self, masks: list[_ByteTable], texts: list[_ByteTable], skip: int,
+             u: NodeSet) -> str:
         """XOR the ``masks`` entries of ``u``'s bytes into a position mask,
         and join the ``texts`` entries of its bytes."""
-        try:
-            p = reduce(xor, map(_lookup, masks, u.to_bytes(len(masks), "little")))
-            body = "".join(map(_lookup, texts, p.to_bytes(len(texts), "little")))
-        except KeyError:
-            p = reduce(xor, masks.filled(u))
-            body = "".join(texts.filled(p))
+        p = reduce(xor, map(_lookup, masks, u.to_bytes(len(masks), "little")))
+        body = "".join(map(_lookup, texts, p.to_bytes(len(texts), "little")))
         return self._open + body[skip:] + self._close
 
     def _labels(self, nodes: tuple[int, ...]) -> str:
@@ -595,7 +571,10 @@ def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None)
                 sink = "t"
             sinks = [sink]
 
-        runs = [_execute(pairs, source, x, config, err) for x in sinks]
+        g = build_graph(pairs, source, sinks[0])
+        if g.parallel_edges_merged:
+            print(f"warning: merged {g.parallel_edges_merged} parallel edge(s)", file=err)
+        runs = [_execute(replace(g, sink=g.index_of(x)), config, err) for x in sinks]
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
@@ -622,7 +601,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     """The ``run`` options are :class:`RunConfig`'s fields, defaults included;
-    the ``corpus`` defaults bar ``--count`` and ``--seed`` are :class:`CorpusSpec`'s."""
+    the ``corpus`` defaults are :class:`CorpusSpec`'s."""
     parser = _Parser(prog="mincuts", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -664,11 +643,11 @@ def _build_parser() -> _Parser:
     p_corpus = sub.add_parser(
         "corpus", help="differential-test random graphs against the oracle"
     )
-    p_corpus.add_argument("--count", type=int, default=1000)
+    p_corpus.add_argument("--count", type=int, default=CorpusSpec.graph_count)
     p_corpus.add_argument("--min-nodes", type=int, default=CorpusSpec.min_nodes)
     p_corpus.add_argument("--max-nodes", type=int, default=CorpusSpec.max_nodes)
     p_corpus.add_argument("--edge-prob", type=float, default=CorpusSpec.edge_probability)
-    p_corpus.add_argument("--seed", type=int, default=42)
+    p_corpus.add_argument("--seed", type=int, default=CorpusSpec.seed)
     p_corpus.add_argument(
         "--prune", action=argparse.BooleanOptionalAction, default=CorpusSpec.prune
     )

@@ -42,13 +42,14 @@ MAX_GRAPH_DRAWS = 10_000
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Parameters of a reproducible corpus of connected random graphs."""
+    """Parameters of a reproducible corpus of connected random graphs; the
+    defaults are the ``corpus`` command's."""
 
-    graph_count: int
+    graph_count: int = 1000
     min_nodes: int = 4
     max_nodes: int = 10
     edge_probability: float = 0.35
-    seed: int = 0
+    seed: int = 42
     prune: bool = True
 
     def __post_init__(self) -> None:

@@ -9,6 +9,8 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,7 +38,7 @@ from mincuts.cli import (
     EXIT_USAGE,
     ParseError,
     RunConfig,
-    _ChunkTables,
+    _ByteTable,
     _RowFragments,
     main,
     parse_edge_list,
@@ -415,12 +417,24 @@ def test_row_tables_fill_on_use_and_stay_small(level):
     # entries per byte, each as wide as the graph.
     g = build_graph(path_graph_edges(1500), "s", "t")
     rows = _RowFragments(g, level)
-    tables = [t for t in vars(rows).values() if isinstance(t, _ChunkTables)]
+    tables = [t for t in vars(rows).values()
+              if isinstance(t, list) and all(isinstance(x, _ByteTable) for x in t)]
     assert len(tables) == 4
     assert all(len(table) == 1 for t in tables for table in t)
+    pairs = ((rows.mcv, rows._node_positions, rows._node_text),
+             (rows.cut, rows._incidence, rows._edge_text))
     for u in enumerate_mcvs(g).mcvs:
-        rows.mcv(u)
-        rows.cut(u)
+        for row, masks, texts in pairs:
+            row(u)
+            # Each byte of the row's masks now has its entry, so these
+            # lookups are hits, and rendering the row again adds none.
+            chunks = u.to_bytes(len(masks), "little")
+            assert all(b in t for t, b in zip(masks, chunks))
+            p = reduce(xor, map(dict.__getitem__, masks, chunks))
+            assert all(b in t for t, b in zip(texts, p.to_bytes(len(texts), "little")))
+            size = sum(map(len, masks + texts))
+            row(u)
+            assert sum(map(len, masks + texts)) == size
     assert all(len(table) < 256 // 4 for t in tables for table in t)
 
 
@@ -562,6 +576,16 @@ class TestAllSinks:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert [r["graph"]["sink"] for r in payload["runs"]] == ["1", "t"]
+
+    def test_graph_built_once(self, tmp_path):
+        # One input, one merge warning, however many sinks it is run for.
+        path = tmp_path / "parallel.edges"
+        path.write_text("s a\na t\ns a\nt b\n")
+        code, out, err = _run(RunConfig(str(path), all_sinks=True))
+        assert code == EXIT_OK
+        assert out.count("== sink ") == 3
+        assert err.count("warning: merged") == 1
+        assert "warning: merged 1 parallel edge(s)\n" in err
 
     @pytest.mark.parametrize("output_format", ["text", "json"])
     def test_source_only_file_exits_one_before_output(self, tmp_path, output_format):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,18 +20,6 @@ from .conftest import (
     path_graph_edges,
     st_connected,
 )
-
-
-@st.composite
-def small_graphs(draw):
-    """Connected graphs of 2 to 9 nodes: a random tree plus random chords."""
-    n = draw(st.integers(2, 9))
-    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=12)))
-    source, sink = draw(st.permutations(range(n)))[:2]
-    labelled = [(str(a), str(b)) for a, b in sorted(edges)]
-    return build_graph(labelled, str(source), str(sink))
 
 
 @st.composite
@@ -79,19 +65,6 @@ class TestBruteForce:
         oracle = brute_force_mcvs(g)
         assert len(oracle.mcvs) == 938
         assert oracle.mcvs == frozenset(enumerate_mcvs(g).mcvs)
-
-
-    @settings(max_examples=200, deadline=None)
-    @given(g=small_graphs())
-    def test_matches_plain_subset_scan(self, g):
-        free = [v for v in range(g.node_count) if v not in (g.source, g.sink)]
-        candidates = (
-            (1 << g.source) | sum(1 << v for v in chosen)
-            for k in range(len(free) + 1)
-            for chosen in combinations(free, k)
-        )
-        expected = {u for u in candidates if is_mcv(g, u)}
-        assert brute_force_mcvs(g).mcvs == expected
 
     def test_fig1_nine_results(self, fig1):
         result = brute_force_mcvs(fig1)
