@@ -8,8 +8,11 @@ as one step loop, the two mismatching oracle comparisons before text rows
 were joined from the JSON writer's fragments, and the unpruned replica
 cases on ``appendage`` before the replica kept its state in locals, and the
 ``grid3x4`` cases (12 nodes and 17 edges, so rows span more than one byte
-of node and edge bits) before rows were looked up in per-byte tables; any
-change to them is a change of the behaviour contract.
+of node and edge bits) before rows were looked up in per-byte tables, and
+the three ``random:5`` cases (the corrected search on ``grid3x4`` and traced
+on ``fig1``, and the traced replica on ``fig1``) before the selection orders
+picked from the legal mask; any change to them is a change of the behaviour
+contract.
 
 Re-record (only for an intended output change) with
 ``PYTHONPATH=src python -m tests.test_golden``.
@@ -53,12 +56,15 @@ CASES = [
     ("grid3x4", name, VARIANTS[name], 0)
     for name in ("default", "compare-oracle", "all-sinks")
 ] + [
+    ("grid3x4", "random", ("--order", "random:5"), 0),
+    ("fig1", "random-trace", ("--order", "random:5", "--trace"), 0),
     ("fig1", "yeh-goto-step3", YEH_STEP3, 1),
     (
         "fig1", "yeh-goto-step1-limit",
         (*YEH, "goto-step1", "--order", "priority:3", "--step-limit", "40"), 3,
     ),
     ("fig1", "yeh-goto-step3-trace", (*YEH, "goto-step3"), 0),
+    ("fig1", "yeh-goto-step3-random-trace", (*YEH, "goto-step3", "--order", "random:5"), 0),
     ("fig1", "yeh-goto-step4-trace", (*YEH, "goto-step4"), 0),
     # Unpruned, ``a`` and ``b`` hang off ``s``: step 1 re-selects ``a`` until
     # the default budget stops it, step 3 records ``{s,a}`` although
