@@ -136,6 +136,8 @@ def _validate(config: RunConfig) -> None:
             raise UsageError(f"{flag} does not apply to --algorithm {config.algorithm}")
     if config.all_sinks and config.sink is not None:
         raise UsageError("--sink cannot be combined with --all-sinks")
+    if config.step_limit is not None and config.step_limit <= 0:
+        raise UsageError("--step-limit must be positive")
 
 
 def _parse_order(spec: str, g: Graph) -> SelectionOrder:

@@ -96,29 +96,30 @@ class PriorityOrder:
 SelectionOrder = Union[AscendingOrder, ScriptedOrder, RandomOrder, PriorityOrder]
 
 
-def _make_chooser(order: SelectionOrder) -> Callable[[tuple[int, ...]], int | None]:
-    """Compile an order spec into ``candidates -> choice`` (None aborts).
+def _make_chooser(order: SelectionOrder) -> Callable[[int], int]:
+    """Compile an order spec into ``legal -> bit`` (0 aborts).
 
-    Candidates always arrive as a non-empty ascending tuple.
+    ``legal`` is the non-empty mask of the legal candidates; random and
+    priority orders draw from them as an ascending tuple.
     """
     if isinstance(order, AscendingOrder):
-        return lambda candidates: candidates[0]
+        return lambda legal: legal & -legal
     if isinstance(order, ScriptedOrder):
         entries = iter(order.nodes)
 
-        def scripted(candidates: tuple[int, ...]) -> int | None:
-            v = next(entries, None)
-            return v if v in candidates else None
+        def scripted(legal: int) -> int:
+            v = next(entries, -1)
+            return 1 << v if v >= 0 and legal >> v & 1 else 0
 
         return scripted
     if isinstance(order, RandomOrder):
         rng = random.Random(order.seed)
-        return lambda candidates: rng.choice(candidates)
+        return lambda legal: 1 << rng.choice(tuple(_bits(legal)))
     if isinstance(order, PriorityOrder):
         rank = {v: i for i, v in enumerate(order.ranking)}
         fallback = len(rank)
-        return lambda candidates: min(
-            candidates, key=lambda v: (rank.get(v, fallback), v)
+        return lambda legal: 1 << min(
+            _bits(legal), key=lambda v: (rank.get(v, fallback), v)
         )
     raise TypeError(f"unknown selection order: {order!r}")
 
@@ -280,8 +281,9 @@ def enumerate_mcvs(
     A ``fails`` mask of picks proven to disconnect the remainder is saved
     alike and passed down on descent, so those checks run no BFS; below the
     root the remainder is connected, so every other BFS stops once the
-    pick's neighbours meet. Untraced ascending runs take the lowest legal
-    bit; other runs choose from the legal candidates as an ascending tuple.
+    pick's neighbours meet. Every order picks through one chooser that
+    takes the legal mask and returns the pick's bit; a traced run lists the
+    candidates of its select events from the same mask.
 
     The loop's only stack is the saved positions, each with the node
     descended into, and its only counter is the connectivity checks; the
@@ -290,13 +292,8 @@ def enumerate_mcvs(
     events at one position share one prefix tuple.
     """
     opts = opts or EnumerationOptions()
-    order = opts.selection_order
+    choose = _make_chooser(opts.selection_order)
     tracing = opts.record_trace
-    # Untraced ascending runs pick the lowest legal bit and build no tuple.
-    if isinstance(order, AscendingOrder) and not tracing:
-        choose = None
-    else:
-        choose = _make_chooser(order)
     scoped = opts.b_policy == "scoped"
     trace: list[TraceEvent] = []
     adj = g.adjacency_masks
@@ -335,17 +332,13 @@ def enumerate_mcvs(
                 path = path[:-1]
                 trace.append(TraceEvent(TraceStep.STEP4_BACKTRACK, path, u))
             continue
-        if choose is None:
-            low = legal & -legal
-        else:
-            candidates = tuple(_bits(legal))
-            v = choose(candidates)
-            if v is None:
-                status = RunStatus.SCRIPT_EXHAUSTED
-                break
-            low = 1 << v
-            if tracing:
-                trace.append(TraceEvent(TraceStep.STEP1_SELECT, path, v, candidates))
+        low = choose(legal)
+        if not low:
+            status = RunStatus.SCRIPT_EXHAUSTED
+            break
+        if tracing:
+            v = low.bit_length() - 1
+            trace.append(TraceEvent(TraceStep.STEP1_SELECT, path, v, tuple(_bits(legal))))
 
         # Step 2: keep the pick only if the remainder stays connected without it.
         # Only the root's remainder can be split, so only it needs the full BFS.
@@ -371,7 +364,7 @@ def enumerate_mcvs(
         else:
             blocked |= low
             fails |= low
-            if tracing:  # a traced run picks through ``choose``, so ``v`` is set
+            if tracing:  # ``v`` was set with the select event
                 trace.append(TraceEvent(TraceStep.STEP2_DISCONNECTED, path, v))
 
     if tracing:
@@ -434,10 +427,9 @@ def run_yeh_original(
     trace: list[TraceEvent] = []
     stats = RunStats(steps=1)  # step 0: unlike the corrected engine, nothing is recorded
 
-    def emit(step: TraceStep, node: int | None = None,
-             candidates: tuple[int, ...] = ()) -> None:
+    def emit(step: TraceStep, node: int | None = None, candidates: int = 0) -> None:
         if tracing:
-            trace.append(TraceEvent(step, tuple(stack), node, candidates))
+            trace.append(TraceEvent(step, tuple(stack), node, tuple(_bits(candidates))))
 
     def report(status: RunStatus) -> EnumerationReport:
         return EnumerationReport(
@@ -453,20 +445,21 @@ def run_yeh_original(
             return report(RunStatus.STEP_LIMIT_EXCEEDED)
         if step == 1:  # no blocked set: failed candidates stay eligible
             raw = rest & ~excluded[-1]
-            candidates = tuple(v for v in _bits(raw) if adj[v] & prefix)
-            if not candidates:
-                emit(TraceStep.STEP1_EXHAUSTED, None, tuple(_bits(raw)))
+            legal = sum(1 << u for u in _bits(raw) if adj[u] & prefix)
+            if not legal:
+                emit(TraceStep.STEP1_EXHAUSTED, None, raw)
                 step = 4
                 continue
-            v = choose(candidates)
-            if v is None:
+            low = choose(legal)
+            if not low:
                 emit(TraceStep.STOP)
                 return report(RunStatus.SCRIPT_EXHAUSTED)
-            emit(TraceStep.STEP1_SELECT, v, candidates)
+            v = low.bit_length() - 1
+            emit(TraceStep.STEP1_SELECT, v, legal)
             step = 2
         elif step == 2:
             stats.connectivity_checks += 1
-            if _connected_mask(adj, rest & ~(1 << v)):
+            if _connected_mask(adj, rest & ~low):
                 emit(TraceStep.STEP2_CONNECTED, v)
                 step = 3
             else:
@@ -474,8 +467,8 @@ def run_yeh_original(
                 step = on_disconnected
         elif step == 3:
             stack.append(v)
-            prefix |= 1 << v
-            rest &= ~(1 << v)
+            prefix |= low
+            rest &= ~low
             excluded.append(excluded[-1])
             found.append(prefix)
             stats.records += 1

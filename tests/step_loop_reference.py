@@ -2,7 +2,8 @@
 
 This is the corrected search written step by step as the paper describes
 it, on its own locals, with the candidates built as a tuple at every
-position. :func:`mincuts.enumerate_mcvs` runs the same search as one
+position and handed to the shared chooser as a mask, the form the engine
+passes. :func:`mincuts.enumerate_mcvs` runs the same search as one
 bitmask loop; the tests hold the two to the same sets in the same order,
 the same trace, the same ``RunStats`` and the same status, under every
 selection order and both b-policies.
@@ -59,9 +60,10 @@ def reference_enumerate_mcvs(
         raw = rest & ~(blocked | excluded[-1])
         candidates = tuple(v for v in _bits(raw) if adj[v] & prefix)
         if candidates:
-            v = choose(candidates)
-            if v is None:
+            low = choose(sum(1 << v for v in candidates))
+            if not low:
                 return report(RunStatus.SCRIPT_EXHAUSTED)
+            v = low.bit_length() - 1
             emit(TraceStep.STEP1_SELECT, v, candidates)
 
             # Step 2: keep v only if the remainder stays connected without it.

@@ -13,6 +13,7 @@ README "Known limits" and tests/conftest.py K23_EDGES.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 
@@ -204,7 +205,9 @@ def test_criterion_3_replica_defect_rates(transfer):
     assert counts == YEH_DEFECTS[transfer]
 
 
+@functools.cache
 def _oracle_equivalence(b_policy: str) -> tuple[int, float]:
+    """Corpus mismatches and seconds; one run per policy serves every test."""
     started = time.perf_counter()
     result = run_corpus(CORPUS, b_policies=(b_policy,), random_orders=3)
     return result.mismatches, time.perf_counter() - started
@@ -246,6 +249,17 @@ def test_criterion_4_oracle_equivalence_persistent():
             "blocked set on ascent, passes this criterion."
         )
     assert elapsed <= 600
+
+
+# Persistent blocking's misses on the corpus are deterministic.
+PERSISTENT_MISMATCHES = 245
+
+
+def test_criterion_4_persistent_mismatch_count():
+    """The red test above fails alike at any non-zero count; this one pins
+    the count itself, so a change in what persistent blocking misses shows."""
+    mismatches, _ = _oracle_equivalence("persistent")
+    assert mismatches == PERSISTENT_MISMATCHES
 
 
 def test_criterion_5_analytic_families():

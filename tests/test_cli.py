@@ -724,7 +724,18 @@ class TestUsageErrors:
         )
         code, out, err = _run(config)
         assert (code, out) == (EXIT_USAGE, "")
-        assert "error: step_limit must be positive" in err
+        assert "error: --step-limit must be positive" in err
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_nonpositive_step_limit_named_as_flag(self, tmp_path, capsys, limit):
+        # Before: ``error: step_limit must be positive``, the library field's
+        # name. The flag is checked before the input is read.
+        argv = ["run", str(tmp_path / "missing.edges"), "--algorithm", "yeh-original",
+                "--yeh-policy", "goto-step1", "--step-limit", limit]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --step-limit must be positive\n"
 
     def test_oracle_guard_exit_one(self, tmp_path):
         path = tmp_path / "long.edges"
@@ -751,7 +762,7 @@ class TestUsageErrors:
         [
             (dict(order="bogus"), "bad order spec"),
             (dict(algorithm="yeh-original", yeh_policy="goto-step1", step_limit=0),
-             "step_limit must be positive"),
+             "--step-limit must be positive"),
         ],
     )
     def test_bad_option_fails_before_the_oracle_scan(self, monkeypatch, fields, message):

@@ -113,6 +113,20 @@ class TestCorrectedOnFig1:
         report = enumerate_mcvs(fig1, opts)
         assert report.status is RunStatus.SCRIPT_EXHAUSTED
 
+    @pytest.mark.parametrize("past_end", [False, True], ids=["negative", "past-end"])
+    @pytest.mark.parametrize("engine", ["corrected", "yeh-original"])
+    def test_script_out_of_range_entry_aborts(self, fig1, engine, past_end):
+        # An index that names no node is never legal: the run aborts at its
+        # first pick, and neither a negative nor a too-large index raises.
+        order = ScriptedOrder((fig1.node_count if past_end else -1,))
+        opts = EnumerationOptions(selection_order=order)
+        if engine == "corrected":
+            report, root = enumerate_mcvs(fig1, opts), (1 << fig1.source,)
+        else:
+            report, root = run_yeh_original(fig1, YehPolicy("goto-step3"), opts), ()
+        assert report.status is RunStatus.SCRIPT_EXHAUSTED
+        assert report.mcvs == root
+
 
 class TestCorrectedSmallGraphs:
     def test_path_graph(self):
