@@ -728,8 +728,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("limit", ["0", "-3"])
     def test_nonpositive_step_limit_named_as_flag(self, tmp_path, capsys, limit):
-        # Before: ``error: step_limit must be positive``, the library field's
-        # name. The flag is checked before the input is read.
+        # The message names the flag, not the library field, and comes
+        # before the input is read.
         argv = ["run", str(tmp_path / "missing.edges"), "--algorithm", "yeh-original",
                 "--yeh-policy", "goto-step1", "--step-limit", limit]
         assert main(argv) == EXIT_USAGE
