@@ -11,8 +11,11 @@ cases on ``appendage`` before the replica kept its state in locals, and the
 of node and edge bits) before rows were looked up in per-byte tables, and
 the three ``random:5`` cases (the corrected search on ``grid3x4`` and traced
 on ``fig1``, and the traced replica on ``fig1``) before the selection orders
-picked from the legal mask; any change to them is a change of the behaviour
-contract.
+picked from the legal mask, and the ``pendants`` cases (chains hanging off
+``s`` and ``t``, pruned to a triangle: text lists the pruned nodes in index
+order, ``b, c, b2, x, y``, and JSON sorts them, ``b, b2, c, x, y``) before
+the pruned labels were derived from the two graphs' labels; any change to
+them is a change of the behaviour contract.
 
 Re-record (only for an intended output change) with
 ``PYTHONPATH=src python -m tests.test_golden``.
@@ -55,6 +58,8 @@ CASES = [
 ] + [
     ("grid3x4", name, VARIANTS[name], 0)
     for name in ("default", "compare-oracle", "all-sinks")
+] + [
+    ("pendants", name, VARIANTS[name], 0) for name in ("default", "all-sinks")
 ] + [
     ("grid3x4", "random", ("--order", "random:5"), 0),
     ("fig1", "random-trace", ("--order", "random:5", "--trace"), 0),
