@@ -188,15 +188,16 @@ def _execute(g: Graph, config: RunConfig, err: TextIO) -> _SinkRun:
     """Prune ``g``, then search, scan or both for the sink it carries."""
     pruned_labels: tuple[str, ...] = ()
     if config.prune:
-        prune = prune_irrelevant(g)
-        if prune.removed_nodes:
-            pruned_labels = g.label_set(prune.removed_nodes)
+        pruned = prune_irrelevant(g)
+        if pruned is not g:
+            kept = set(pruned.node_names)
+            pruned_labels = tuple(x for x in g.node_names if x not in kept)
             print(
                 "warning: pruned nodes on no source-sink path: "
                 + ", ".join(pruned_labels),
                 file=err,
             )
-            g = prune.pruned_graph
+            g = pruned
 
     if config.algorithm == "oracle":
         return _SinkRun(g, pruned_labels, None, brute_force_mcvs(g), None, EXIT_OK)
@@ -219,7 +220,7 @@ def _execute(g: Graph, config: RunConfig, err: TextIO) -> _SinkRun:
     code = _STATUS_EXIT[report.status]
     comparison = None
     if oracle is not None:
-        comparison = diff(report, oracle, g)
+        comparison = diff(report, oracle)
         if not comparison.agree:
             code = max(code, EXIT_MISMATCH)
     return _SinkRun(g, pruned_labels, report, oracle, comparison, code)
@@ -574,8 +575,8 @@ def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None)
             sinks = [sink]
 
         g = build_graph(pairs, source, sinks[0])
-        if g.parallel_edges_merged:
-            print(f"warning: merged {g.parallel_edges_merged} parallel edge(s)", file=err)
+        if len(pairs) > g.edge_count:  # self-loops are rejected, so these are merged parallels
+            print(f"warning: merged {len(pairs) - g.edge_count} parallel edge(s)", file=err)
         runs = [_execute(replace(g, sink=g.index_of(x)), config, err) for x in sinks]
     except ValueError as exc:
         print(f"error: {exc}", file=err)

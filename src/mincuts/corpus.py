@@ -120,7 +120,7 @@ def corpus_entries(spec: CorpusSpec) -> list[CorpusEntry]:
         g = _random_connected_graph(rng, rng.randint(spec.min_nodes, spec.max_nodes),
                                     spec.edge_probability)
         if spec.prune:
-            g = prune_irrelevant(g).pruned_graph
+            g = prune_irrelevant(g)
         entries.append(CorpusEntry(index, graph_seed, g))
     return entries
 

@@ -83,7 +83,8 @@ class RandomOrder:
 
 @dataclass(frozen=True)
 class PriorityOrder:
-    """Pick the candidate ranked earliest in ``ranking``.
+    """Pick the candidate ranked earliest in ``ranking``, where a repeated
+    node keeps its first position.
 
     Unranked nodes come after all ranked ones, in ascending index order.
     A ranking that places a doomed candidate first is the cleanest way to
@@ -116,8 +117,8 @@ def _make_chooser(order: SelectionOrder) -> Callable[[int], int]:
         rng = random.Random(order.seed)
         return lambda legal: 1 << rng.choice(tuple(_bits(legal)))
     if isinstance(order, PriorityOrder):
-        rank = {v: i for i, v in enumerate(order.ranking)}
-        fallback = len(rank)
+        rank = {v: i for i, v in reversed(list(enumerate(order.ranking)))}
+        fallback = len(order.ranking)
         return lambda legal: 1 << min(
             _bits(legal), key=lambda v: (rank.get(v, fallback), v)
         )

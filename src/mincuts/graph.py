@@ -6,7 +6,8 @@ a node set is an ``int`` bitmask whose bit ``v`` stands for node ``v``, from
 the search to the renderer; :meth:`Graph.label_set` decodes one to labels.
 Connectivity runs on per-node adjacency bitmasks, which keeps the
 exhaustive callers (the brute-force oracle, the corpus runner) fast without
-any native code.
+any native code. Every invalid construction or query raises
+:class:`GraphError`, a ``ValueError`` whose message names the fault.
 """
 
 from __future__ import annotations
@@ -21,16 +22,10 @@ Cut = frozenset[Edge]
 
 __all__ = [
     "Cut",
-    "DisconnectedInput",
     "Edge",
-    "EmptyOrFullSet",
     "Graph",
     "GraphError",
     "NodeSet",
-    "PruneReport",
-    "SelfLoop",
-    "SourceEqualsSink",
-    "UnknownNode",
     "build_graph",
     "cut_edges",
     "is_mcv",
@@ -39,27 +34,7 @@ __all__ = [
 
 
 class GraphError(ValueError):
-    """Base class for invalid graph construction or queries."""
-
-
-class SourceEqualsSink(GraphError):
-    pass
-
-
-class UnknownNode(GraphError):
-    pass
-
-
-class SelfLoop(GraphError):
-    pass
-
-
-class DisconnectedInput(GraphError):
-    pass
-
-
-class EmptyOrFullSet(GraphError):
-    pass
+    """An invalid graph construction or query; the message says which."""
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -126,8 +101,6 @@ class Graph:
     source: int
     sink: int
     edges: frozenset[Edge]
-    # How many duplicate input edges were dropped when merging parallels.
-    parallel_edges_merged: int = 0
 
     @property
     def node_count(self) -> int:
@@ -157,7 +130,7 @@ class Graph:
         try:
             return self._index_by_name[label]
         except KeyError:
-            raise UnknownNode(f"no node labeled {label!r}") from None
+            raise GraphError(f"no node labeled {label!r}") from None
 
     def node_set(self, *labels: str) -> NodeSet:
         u = 0
@@ -185,24 +158,21 @@ def build_graph(
     """Build a validated :class:`Graph` from labeled edge pairs.
 
     Labels get dense indices in order of first appearance, which makes the
-    numbering deterministic for a fixed input. Parallel edges are merged
-    (the number dropped is recorded on the graph); self-loops are rejected
-    rather than dropped, so dirty inputs must be cleaned explicitly.
-
-    Raises:
-        SourceEqualsSink: source and sink are the same label.
-        SelfLoop: some edge joins a label to itself.
-        UnknownNode: source or sink label never appears as an endpoint.
-        DisconnectedInput: the input graph is not connected.
+    numbering deterministic for a fixed input. Parallel edges are merged,
+    so the input's pair count less ``edge_count`` is the number dropped;
+    self-loops are rejected rather than dropped, so dirty inputs must be
+    cleaned explicitly. Raises :class:`GraphError` when source and sink are
+    the same label, an edge joins a label to itself, the source or sink
+    label is no endpoint, or the graph is not connected.
     """
     if source_label == sink_label:
-        raise SourceEqualsSink(f"source and sink are both {source_label!r}")
+        raise GraphError(f"source and sink are both {source_label!r}")
 
     index: dict[str, int] = {}
     pairs: list[Edge] = []
     for a, b in edge_list:
         if a == b:
-            raise SelfLoop(f"self-loop at node {a!r}")
+            raise GraphError(f"self-loop at node {a!r}")
         for label in (a, b):
             index.setdefault(label, len(index))
         u, v = index[a], index[b]
@@ -210,25 +180,23 @@ def build_graph(
 
     for label in (source_label, sink_label):
         if label not in index:
-            raise UnknownNode(f"node {label!r} does not appear in the edge list")
+            raise GraphError(f"node {label!r} does not appear in the edge list")
 
-    edges = frozenset(pairs)
     graph = Graph(
         node_names=tuple(index),
         source=index[source_label],
         sink=index[sink_label],
-        edges=edges,
-        parallel_edges_merged=len(pairs) - len(edges),
+        edges=frozenset(pairs),
     )
     if not _connected_mask(graph.adjacency_masks, graph.full_mask):
-        raise DisconnectedInput("input graph is not connected")
+        raise GraphError("input graph is not connected")
     return graph
 
 
 def cut_edges(g: Graph, u: NodeSet) -> Cut:
     """The edges with exactly one endpoint in ``u``."""
     if u == 0 or u == g.full_mask:
-        raise EmptyOrFullSet("cut is undefined for the empty or full node set")
+        raise GraphError("cut is undefined for the empty or full node set")
     return frozenset(e for e in g.edges if ((u >> e[0]) ^ (u >> e[1])) & 1)
 
 
@@ -246,20 +214,7 @@ def is_mcv(g: Graph, u: NodeSet) -> bool:
     return _connected_mask(adj, u) and _connected_mask(adj, g.full_mask & ~u)
 
 
-@dataclass(frozen=True)
-class PruneReport:
-    """Result of stripping nodes that lie on no simple source-sink path.
-
-    ``removed_nodes`` is a mask over the original graph's indices;
-    ``pruned_graph`` is re-densified, so match nodes by label when relating
-    the two.
-    """
-
-    removed_nodes: NodeSet
-    pruned_graph: Graph
-
-
-def prune_irrelevant(g: Graph) -> PruneReport:
+def prune_irrelevant(g: Graph) -> Graph:
     """Remove every node that lies on no simple source-sink path.
 
     Those nodes are exactly the ones outside the biconnected block of the
@@ -268,8 +223,9 @@ def prune_irrelevant(g: Graph) -> PruneReport:
     lowpoints; then, in preorder, a node ``w`` other than source and sink
     is kept iff its DFS parent ``p`` is kept and ``low[w] < disc[p]``.
     Removing the others preserves the family of minimal s-t cuts as edge
-    sets. Idempotent: pruning a pruned graph removes nothing. Source and
-    sink always survive.
+    sets. Returns ``g`` itself when it removes nothing, so pruning a pruned
+    graph returns it unchanged; otherwise a re-densified graph, so match
+    nodes by label when relating the two. Source and sink always survive.
     """
     s, t = g.source, g.sink
     # The source is its own parent, so popping it needs no special case.
@@ -303,13 +259,10 @@ def prune_irrelevant(g: Graph) -> PruneReport:
     for w in order:
         if (keep >> parent[w]) & 1 and low[w] < disc[parent[w]]:
             keep |= 1 << w
-    removed_nodes = g.full_mask & ~keep
-    if not removed_nodes:
-        return PruneReport(removed_nodes, g)
-
+    if keep == g.full_mask:
+        return g
     names = g.node_names
     surviving = [
         (names[u], names[v]) for u, v in sorted(g.edges) if (keep >> u) & (keep >> v) & 1
     ]
-    pruned = build_graph(surviving, names[s], names[t])
-    return PruneReport(removed_nodes, pruned)
+    return build_graph(surviving, names[s], names[t])

@@ -122,15 +122,16 @@ class DiffReport:
         return not self.missing and not self.spurious
 
 
-def diff(candidate: EnumerationReport, oracle: OracleResult, g: Graph) -> DiffReport:
+def diff(candidate: EnumerationReport, oracle: OracleResult) -> DiffReport:
     """Compare a run's recorded sets against the oracle's, as sets.
 
-    Both sides must have been computed on the same graph.
+    Both sides must have been computed on the same graph; ``invalid`` is
+    judged on ``oracle.graph``.
     """
     produced = frozenset(candidate.mcvs)
     spurious = produced - oracle.mcvs
     return DiffReport(
         missing=oracle.mcvs - produced,
         spurious=spurious,
-        invalid=frozenset(u for u in spurious if not is_mcv(g, u)),
+        invalid=frozenset(u for u in spurious if not is_mcv(oracle.graph, u)),
     )

@@ -149,7 +149,7 @@ def sparse_graphs(draw):
         if a - gap >= 0:
             edges.append((str(a - gap), str(a)))
     g = build_graph(edges, "0", str(n - 1))
-    return prune_irrelevant(g).pruned_graph if draw(st.booleans()) else g
+    return prune_irrelevant(g) if draw(st.booleans()) else g
 
 
 def label_sets(g: Graph, node_sets) -> set[frozenset[str]]:

@@ -215,6 +215,26 @@ class TestInvariants:
         assert fig1.node_names[first_select.node] == "2"
         assert label_sets(fig1, report.mcvs) == as_frozen(FIG1_GOLDEN)
 
+    @pytest.mark.parametrize("engine", ["corrected", "yeh-goto-step1"])
+    @pytest.mark.parametrize(
+        "ranking, repeated",
+        [("21", "212"), ("34", "343"), ("214", "2124")],
+        ids=["2,1", "3,4", "2,1,4"],
+    )
+    def test_priority_repeat_keeps_first_position(self, fig1, engine, ranking, repeated):
+        # A repeated label must not demote the node to its later position,
+        # and the unranked nodes still come after every ranked one.
+        def run(labels):
+            opts = EnumerationOptions(
+                selection_order=PriorityOrder(tuple(fig1.index_of(x) for x in labels)),
+                record_trace=True,
+            )
+            if engine == "corrected":
+                return enumerate_mcvs(fig1, opts)
+            return run_yeh_original(fig1, YehPolicy("goto-step1", step_limit=40), opts)
+
+        assert run(repeated) == run(ranking)
+
 
 class TestBlockedSetPolicies:
     def test_persistent_misses_results_on_k23(self, k23):
@@ -426,7 +446,7 @@ class TestSourceSinkSwap:
     @settings(max_examples=100, deadline=None)
     @given(g=sparse_graphs())
     def test_pruned_sparse_graphs(self, g):
-        self._assert_swap_complements(prune_irrelevant(g).pruned_graph)
+        self._assert_swap_complements(prune_irrelevant(g))
 
 
 class TestEdgeSubdivision:
@@ -466,7 +486,7 @@ class TestEdgeSubdivision:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), g=sparse_graphs())
     def test_pruned_sparse_graphs(self, data, g):
-        g = prune_irrelevant(g).pruned_graph
+        g = prune_irrelevant(g)
         edge = data.draw(st.sampled_from(sorted(g.edges)))
         self._assert_subdivision_adds_crossing_cuts(g, edge)
 
@@ -505,7 +525,7 @@ class TestRelabelling:
     @settings(max_examples=100, deadline=None)
     @given(g=sparse_graphs(), rnd=st.randoms(use_true_random=False))
     def test_pruned_sparse_graphs(self, g, rnd):
-        self._assert_relabelled_cuts_agree(prune_irrelevant(g).pruned_graph, rnd)
+        self._assert_relabelled_cuts_agree(prune_irrelevant(g), rnd)
 
 
 class TestPredecessorStructure:

@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 from mincuts import build_graph, enumerate_mcvs, prune_irrelevant
 from mincuts.graph import (
-    DisconnectedInput,
-    EmptyOrFullSet,
-    SelfLoop,
-    SourceEqualsSink,
-    UnknownNode,
+    GraphError,
     _bits,
     _connected_mask,
     _connected_without,
@@ -38,29 +34,28 @@ class TestBuildGraph:
         assert g.edge_count == 1
 
     def test_unknown_sink(self):
-        with pytest.raises(UnknownNode):
+        with pytest.raises(GraphError, match="node 't' does not appear in the edge list"):
             build_graph([("s", "a"), ("a", "b")], "s", "t")
 
     def test_empty_edge_list_is_rejected(self):
-        with pytest.raises(UnknownNode):
+        with pytest.raises(GraphError, match="node 's' does not appear in the edge list"):
             build_graph([], "s", "t")
 
     def test_source_equals_sink(self):
-        with pytest.raises(SourceEqualsSink):
+        with pytest.raises(GraphError, match="source and sink are both 's'"):
             build_graph([("s", "t")], "s", "s")
 
     def test_self_loop_rejected(self):
-        with pytest.raises(SelfLoop):
+        with pytest.raises(GraphError, match="self-loop at node 's'"):
             build_graph([("s", "s"), ("s", "t")], "s", "t")
 
     def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedInput):
+        with pytest.raises(GraphError, match="input graph is not connected"):
             build_graph([("s", "t"), ("a", "b")], "s", "t")
 
     def test_parallel_edges_merged_with_count(self):
         g = build_graph([("s", "t"), ("t", "s"), ("s", "a"), ("a", "t")], "s", "t")
         assert g.edge_count == 3
-        assert g.parallel_edges_merged == 1
         assert tuple(_bits(g.node_set("s", "t"))) in g.edges
 
     def test_first_appearance_indexing(self, fig1):
@@ -137,9 +132,10 @@ class TestCutEdges:
         assert as_labels == {frozenset(e) for e in expected}
 
     def test_empty_and_full_rejected(self, fig1):
-        with pytest.raises(EmptyOrFullSet):
+        message = "cut is undefined for the empty or full node set"
+        with pytest.raises(GraphError, match=message):
             cut_edges(fig1, 0)
-        with pytest.raises(EmptyOrFullSet):
+        with pytest.raises(GraphError, match=message):
             cut_edges(fig1, fig1.full_mask)
 
 
@@ -174,24 +170,18 @@ class TestBoundaryNodes:
 
 class TestPrune:
     def test_fig1_unchanged(self, fig1):
-        report = prune_irrelevant(fig1)
-        assert report.removed_nodes == 0
-        assert report.pruned_graph is fig1
+        assert prune_irrelevant(fig1) is fig1
 
     def test_pendant_node_removed(self):
         g = build_graph([("s", "a"), ("a", "t"), ("s", "b")], "s", "t")
-        report = prune_irrelevant(g)
-        assert set(g.label_set(report.removed_nodes)) == {"b"}
-        assert set(report.pruned_graph.node_names) == {"s", "a", "t"}
+        assert prune_irrelevant(g).node_names == ("s", "a", "t")
 
     def test_single_edge_unchanged(self):
         g = build_graph([("s", "t")], "s", "t")
-        assert prune_irrelevant(g).removed_nodes == 0
+        assert prune_irrelevant(g) is g
 
     def test_appendage_collapses_to_single_edge(self, appendage):
-        report = prune_irrelevant(appendage)
-        assert set(appendage.label_set(report.removed_nodes)) == {"a", "b"}
-        assert set(report.pruned_graph.node_names) == {"s", "t"}
+        assert prune_irrelevant(appendage).node_names == ("s", "t")
 
     def test_pendant_blob_removed(self):
         # A triangle hanging off one articulation node: degree stripping
@@ -201,20 +191,16 @@ class TestPrune:
             "s",
             "t",
         )
-        report = prune_irrelevant(g)
-        assert set(g.label_set(report.removed_nodes)) == {"x", "y"}
+        assert prune_irrelevant(g).node_names == ("s", "a", "t")
 
     def test_idempotent(self, appendage):
-        once = prune_irrelevant(appendage).pruned_graph
-        again = prune_irrelevant(once)
-        assert again.removed_nodes == 0
-        assert again.pruned_graph is once
+        once = prune_irrelevant(appendage)
+        assert prune_irrelevant(once) is once
 
     def test_source_sink_always_survive(self):
         spec = CorpusSpec(graph_count=40, min_nodes=4, max_nodes=8, seed=5, prune=False)
         for entry in corpus_entries(spec):
-            report = prune_irrelevant(entry.graph)
-            names = set(report.pruned_graph.node_names)
+            names = set(prune_irrelevant(entry.graph).node_names)
             assert {"s", "t"} <= names
 
     def test_minimal_cut_family_preserved(self):
@@ -223,7 +209,7 @@ class TestPrune:
         spec = CorpusSpec(graph_count=60, min_nodes=4, max_nodes=8, seed=11, prune=False)
         for entry in corpus_entries(spec):
             g = entry.graph
-            pruned = prune_irrelevant(g).pruned_graph
+            pruned = prune_irrelevant(g)
 
             def cut_families(h):
                 return {
@@ -239,18 +225,16 @@ class TestPrune:
         # Deep enough that a recursive depth-first search would overflow.
         names = [str(i) for i in range(5000)]
         g = build_graph(list(zip(names, names[1:])), "1000", "3999")
-        report = prune_irrelevant(g)
-        assert set(report.pruned_graph.node_names) == set(names[1000:4000])
-        assert report.pruned_graph.edge_count == 2999
+        pruned = prune_irrelevant(g)
+        assert set(pruned.node_names) == set(names[1000:4000])
+        assert pruned.edge_count == 2999
 
     def test_long_ladder_removes_nothing(self):
         a = [f"a{i}" for i in range(2000)]
         b = [f"b{i}" for i in range(2000)]
         edges = list(zip(a, b)) + list(zip(a, a[1:])) + list(zip(b, b[1:]))
         g = build_graph(edges, "a0", "b1999")
-        report = prune_irrelevant(g)
-        assert report.removed_nodes == 0
-        assert report.pruned_graph is g
+        assert prune_irrelevant(g) is g
 
 
 def _on_simple_st_path(pairs, source: str, sink: str) -> set[str]:
@@ -311,11 +295,9 @@ def test_prune_keeps_exactly_the_nodes_on_simple_st_paths(seed, family):
         pairs, source, sink = _tree_with_pendant_triangles(seed)
         g = build_graph(pairs, source, sink)
     expected = _on_simple_st_path(pairs, source, sink)
-    report = prune_irrelevant(g)
-    pruned = report.pruned_graph
+    pruned = prune_irrelevant(g)
     assert set(pruned.node_names) == expected
-    removed = set(g.label_set(report.removed_nodes))
-    assert removed == set(g.node_names) - expected
+    assert (pruned is g) == (expected == set(g.node_names))
     names = pruned.node_names
     kept_edges = {frozenset((names[a], names[b])) for a, b in pruned.edges}
     assert kept_edges == {frozenset(e) for e in pairs if expected.issuperset(e)}
@@ -397,5 +379,5 @@ def test_unpruned_appendage_mcv_differs_from_pruned(appendage):
     # is {s,a,b}, the pruned one is {s}; both cut the same single edge.
     assert is_mcv(appendage, appendage.node_set("s", "a", "b"))
     assert not is_mcv(appendage, appendage.node_set("s"))
-    pruned = prune_irrelevant(appendage).pruned_graph
+    pruned = prune_irrelevant(appendage)
     assert is_mcv(pruned, pruned.node_set("s"))

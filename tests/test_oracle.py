@@ -123,7 +123,7 @@ class TestBruteForce:
         )
         for entry in corpus_entries(spec):
             g = entry.graph
-            pruned = prune_irrelevant(g).pruned_graph
+            pruned = prune_irrelevant(g)
             surviving = {
                 frozenset((pruned.node_names[u], pruned.node_names[v]))
                 for u, v in pruned.edges
@@ -137,7 +137,7 @@ class TestDiff:
     def test_corrected_agrees_on_fig1(self, fig1):
         oracle = brute_force_mcvs(fig1)
         report = enumerate_mcvs(fig1)
-        result = diff(report, oracle, fig1)
+        result = diff(report, oracle)
         assert result.agree
         assert result.missing == frozenset()
         assert result.spurious == frozenset()
@@ -148,7 +148,7 @@ class TestDiff:
         report = run_yeh_original(
             fig1, YehPolicy("goto-step3"), EnumerationOptions(selection_order=script)
         )
-        result = diff(report, oracle, fig1)
+        result = diff(report, oracle)
         assert not result.agree
         assert fig1.node_set("s", "1", "3") in result.spurious
         assert fig1.node_set("s", "1", "3") in result.invalid
@@ -156,7 +156,7 @@ class TestDiff:
     def test_unpruned_appendage_disagrees_exactly(self, appendage):
         oracle = brute_force_mcvs(appendage)
         report = enumerate_mcvs(appendage)
-        result = diff(report, oracle, appendage)
+        result = diff(report, oracle)
         assert label_sets(appendage, result.spurious) == as_frozen([{"s"}])
         assert label_sets(appendage, result.missing) == as_frozen([{"s", "a", "b"}])
         assert result.invalid == result.spurious
