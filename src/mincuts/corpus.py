@@ -8,10 +8,11 @@ the whole pipeline is reproducible from a single integer seed.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterator, NoReturn, Sequence, TextIO
 
 from .enumeration import (
     B_POLICIES,
@@ -160,8 +161,10 @@ def shrink_counterexample(g: Graph, check: Callable[[Graph], bool]) -> Graph:
                 current = candidate
                 break
         else:
-            for name in current.node_names:
-                if name in (source, sink):
+            for v, name in enumerate(current.node_names):
+                # A node of degree 1 leaves the list its one edge's deletion
+                # left, which this pass has already rejected.
+                if name in (source, sink) or current.adjacency_masks[v].bit_count() == 1:
                     continue
                 candidate = rebuild([p for p in pairs if name not in p])
                 if candidate is not None and check(candidate):
@@ -200,7 +203,14 @@ def run_corpus(
     (requires ``out_dir``). Artifacts are edge-list files replayable with
     the same policy and order that exposed the disagreement. An empty,
     unknown or repeated ``b_policies``, a negative ``random_orders`` or an
-    unusable ``out_dir`` raises ``ValueError`` before any graph runs.
+    unusable ``out_dir`` raises ``ValueError`` before any graph runs, and
+    an artifact that cannot be written raises it when its graph does.
+
+    The graphs run in forked workers, one per usable CPU, and in this
+    process where there is one CPU, no ``os.fork`` or a second thread. The
+    lines, their order and the artifacts are the same either way, and no
+    worker outlives the call. After a failed write, other workers may
+    have written the artifacts of some later graphs.
     """
     if not b_policies:
         raise ValueError("no b-policy given")
@@ -210,8 +220,6 @@ def run_corpus(
         EnumerationOptions(b_policy=policy)  # raises on an unknown policy
         if policy in b_policies[:i]:
             raise ValueError(f"b-policy {policy!r} given twice")
-    lines: list[str] = []
-    mismatches = 0
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         try:
@@ -219,45 +227,180 @@ def run_corpus(
         except OSError as exc:
             raise ValueError(f"cannot create out_dir: {exc.strerror}") from None
 
-    for entry in corpus_entries(spec):
-        g = entry.graph
-        oracle_sets = brute_force_mcvs(g).mcvs
-        failing: EnumerationOptions | None = None
-        for policy in b_policies:
-            orders = [AscendingOrder()] + [
-                RandomOrder(seed=entry.seed * 100 + j) for j in range(random_orders)
-            ]
-            for order in orders:
-                opts = EnumerationOptions(selection_order=order, b_policy=policy)
-                if frozenset(enumerate_mcvs(g, opts).mcvs) != oracle_sets:
-                    failing = opts
-                    break
-            if failing is not None:
-                break
+    import threading
 
-        line = (
-            f"graph={entry.index} seed={entry.seed} "
-            f"n={g.node_count} m={g.edge_count} "
-            f"status={'agree' if failing is None else 'mismatch'}"
-        )
-        if failing is not None:
-            mismatches += 1
-            line += (
-                f" policy={failing.b_policy}"
-                f" order={type(failing.selection_order).__name__}"
-            )
-            if out_path is not None:
-                shrunk = shrink_counterexample(
-                    g, _disagreement_check(failing)
-                )
-                artifact = out_path / f"counterexample-{entry.index:04d}.edges"
-                artifact.write_text(_artifact_text(shrunk, failing))
-                line += f" counterexample={artifact}"
-        lines.append(line)
-        if out is not None:
-            print(line, file=out)
+    entries = corpus_entries(spec)
 
+    def check(entry: CorpusEntry) -> tuple[str, bool]:
+        return _check_graph(entry, b_policies, random_orders, out_path)
+
+    workers = min(_usable_cpus(), len(entries))
+    # A forked child holds only the forking thread, and perhaps a lock
+    # that another thread held.
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        results = _in_workers(check, entries, workers)
+    else:
+        results = (check(entry) for entry in entries)
+    lines: list[str] = []
+    mismatches = 0
+    try:
+        for line, mismatched in results:
+            mismatches += mismatched
+            lines.append(line)
+            if out is not None:
+                print(line, file=out)
+    finally:
+        results.close()
     return CorpusRunResult(tuple(lines), spec.graph_count, mismatches)
+
+
+def _check_graph(
+    entry: CorpusEntry,
+    b_policies: Sequence[str],
+    random_orders: int,
+    out_path: Path | None,
+) -> tuple[str, bool]:
+    """One graph against the oracle: its report line and whether it is a
+    mismatch, shrunk and written under ``out_path`` when that is given."""
+    g = entry.graph
+    oracle_sets = brute_force_mcvs(g).mcvs
+    failing: EnumerationOptions | None = None
+    for policy in b_policies:
+        orders = [AscendingOrder()] + [
+            RandomOrder(seed=entry.seed * 100 + j) for j in range(random_orders)
+        ]
+        for order in orders:
+            opts = EnumerationOptions(selection_order=order, b_policy=policy)
+            if frozenset(enumerate_mcvs(g, opts).mcvs) != oracle_sets:
+                failing = opts
+                break
+        if failing is not None:
+            break
+
+    line = (
+        f"graph={entry.index} seed={entry.seed} "
+        f"n={g.node_count} m={g.edge_count} "
+        f"status={'agree' if failing is None else 'mismatch'}"
+    )
+    if failing is None:
+        return line, False
+    line += (
+        f" policy={failing.b_policy}"
+        f" order={type(failing.selection_order).__name__}"
+    )
+    if out_path is not None:
+        shrunk = shrink_counterexample(g, _disagreement_check(failing))
+        artifact = out_path / f"counterexample-{entry.index:04d}.edges"
+        try:
+            artifact.write_text(_artifact_text(shrunk, failing))
+        except OSError as exc:
+            raise ValueError(f"cannot write {artifact}: {exc.strerror}") from None
+        line += f" counterexample={artifact}"
+    return line, True
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_workers(
+    check: Callable[[CorpusEntry], tuple[str, bool]],
+    entries: list[CorpusEntry],
+    workers: int,
+) -> Iterator[tuple[str, bool]]:
+    """``check`` of each entry, in entry order, run in forked workers.
+
+    Worker ``k`` checks entries ``k``, ``k + workers``, ... and sends one
+    record per entry down its own pipe; the records are read round-robin,
+    so each result is yielded as soon as it and those before it are in.
+    A record ends in NUL, because a line holds its artifact path, and a
+    path may hold a newline. A worker's ``ValueError`` is raised here as
+    one, any other exception as ``RuntimeError`` with its traceback. Every
+    worker is killed and reaped when the generator ends, fails or is closed.
+    """
+    import signal
+
+    pids: list[int] = []
+    fds: list[int] = []
+    try:
+        for k in range(workers):
+            read_fd, write_fd = os.pipe()
+            fds.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(check, entries[k::workers], write_fd, fds)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+        streams = [_records(fd) for fd in fds]
+        for i in range(len(entries)):
+            record = next(streams[i % workers], None)
+            if record is None:
+                raise RuntimeError(f"corpus worker {i % workers} exited early")
+            kind, text = record[:1], record[1:].decode("utf-8", "surrogatepass")
+            if kind == b"V":
+                raise ValueError(text)
+            if kind == b"X":
+                raise RuntimeError(f"corpus worker failed:\n{text}")
+            yield text, kind == b"1"
+    finally:
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # already reaped, where SIGCHLD is ignored
+        for fd in fds:
+            os.close(fd)
+
+
+def _serve(
+    check: Callable[[CorpusEntry], tuple[str, bool]],
+    entries: list[CorpusEntry],
+    fd: int,
+    inherited: list[int],
+) -> NoReturn:
+    """A worker's whole life: a record per entry, or an error record.
+
+    It leaves through ``os._exit``, so neither the buffers nor the exit
+    hooks it inherited run a second time. It closes the read ends it
+    inherited, its own included, so a write fails once this process's
+    parent is gone.
+    """
+    try:
+        for other in inherited:
+            os.close(other)
+        for entry in entries:
+            line, mismatched = check(entry)
+            _send(fd, b"1" if mismatched else b"0", line)
+    except ValueError as exc:
+        _send(fd, b"V", str(exc))
+    except Exception:
+        import traceback
+
+        _send(fd, b"X", traceback.format_exc())
+    finally:
+        os._exit(0)
+
+
+def _send(fd: int, kind: bytes, text: str) -> None:
+    data = kind + text.encode("utf-8", "surrogatepass") + b"\0"
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _records(fd: int) -> Iterator[bytes]:
+    """The NUL-ended records read from ``fd`` up to end of file; an
+    unfinished last record is dropped."""
+    tail = b""
+    while chunk := os.read(fd, 1 << 16):
+        *done, tail = (tail + chunk).split(b"\0")
+        yield from done
 
 
 def _disagreement_check(opts: EnumerationOptions) -> Callable[[Graph], bool]:

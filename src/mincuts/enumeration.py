@@ -100,8 +100,9 @@ SelectionOrder = Union[AscendingOrder, ScriptedOrder, RandomOrder, PriorityOrder
 def _make_chooser(order: SelectionOrder) -> Callable[[int], int]:
     """Compile an order spec into ``legal -> bit`` (0 aborts).
 
-    ``legal`` is the non-empty mask of the legal candidates; random and
-    priority orders draw from them as an ascending tuple.
+    ``legal`` is the non-empty mask of the legal candidates. A random order
+    picks as ``rng.choice`` over them in ascending order would, and a
+    priority order takes the best-ranked one.
     """
     if isinstance(order, AscendingOrder):
         return lambda legal: legal & -legal
@@ -114,8 +115,21 @@ def _make_chooser(order: SelectionOrder) -> Callable[[int], int]:
 
         return scripted
     if isinstance(order, RandomOrder):
-        rng = random.Random(order.seed)
-        return lambda legal: 1 << rng.choice(tuple(_bits(legal)))
+        getrandbits = random.Random(order.seed).getrandbits
+
+        def draw(legal: int) -> int:
+            # ``Random._randbelow`` on the candidate count, so the stream
+            # and the pick are ``rng.choice``'s, then the r-th lowest bit.
+            k = legal.bit_count()
+            width = k.bit_length()
+            r = getrandbits(width)
+            while r >= k:
+                r = getrandbits(width)
+            for _ in range(r):
+                legal &= legal - 1
+            return legal & -legal
+
+        return draw
     if isinstance(order, PriorityOrder):
         rank = {v: i for i, v in reversed(list(enumerate(order.ranking)))}
         fallback = len(order.ranking)

@@ -878,6 +878,16 @@ class TestMain:
         assert "graph=" not in captured.out
         assert captured.err == "error: cannot create --out-dir: File exists\n"
 
+    def test_corpus_unwritable_artifact_exits_one(self, tmp_path, capsys):
+        # Before: the run ended in an IsADirectoryError traceback.
+        taken = tmp_path / "counterexample-0003.edges"
+        taken.mkdir()
+        code = main(["corpus", "--count", "20", "--seed", "42", "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out.count("\n") == 3
+        assert captured.err == f"error: cannot write {taken}: Is a directory\n"
+
     @pytest.mark.parametrize(
         "args, flag, field",
         [

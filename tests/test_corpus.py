@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import io
+import os
+import re
+import shutil
+
 import pytest
 
+import mincuts.corpus
 from mincuts import build_graph, prune_irrelevant
 from mincuts.cli import parse_edge_list
 from mincuts.corpus import (
@@ -174,6 +180,100 @@ class TestRunner:
         run_corpus(spec, b_policies=("scoped",), random_orders=1, out=sys.stdout)
         printed = capsys.readouterr().out.strip().splitlines()
         assert len(printed) == 3
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=[1, 3], ids=["1-cpu", "3-cpus"])
+def cpus(request, monkeypatch):
+    """The CPU count the runner sees: 1 runs in this process, 3 forks."""
+    monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+class TestWorkers:
+    """Forked workers against the in-process run, and their cleanup."""
+
+    def _run(self, out_dir, **kwargs):
+        spec = CorpusSpec(graph_count=40, seed=42)
+        return run_corpus(spec, random_orders=2, out_dir=out_dir, **kwargs)
+
+    def test_lines_and_artifacts_match_across_cpu_counts(self, tmp_path, monkeypatch):
+        runs = []
+        for count in (1, 3):
+            monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: count)
+            out_dir = tmp_path / "cex"
+            stream = io.StringIO()
+            result = self._run(out_dir, out=stream)
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            runs.append((result, stream.getvalue(), files))
+            shutil.rmtree(out_dir)
+        (one, one_out, one_files), (three, three_out, three_files) = runs
+        assert one == three
+        assert one_out == three_out == "".join(f"{line}\n" for line in one.lines)
+        assert one_files == three_files
+        assert len(one_files) == one.mismatches > 0
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("raised", [ValueError, KeyError])
+    def test_failure_in_a_graph_raises_here(self, cpus, monkeypatch, raised):
+        # A worker's ValueError stays one, so the CLI exits 1 with its
+        # message; any other exception comes back with its traceback.
+        check = mincuts.corpus._check_graph
+
+        def failing(entry, *args):
+            if entry.index == 4:
+                raise raised(f"graph 4 failed in process {os.getpid()}")
+            return check(entry, *args)
+
+        monkeypatch.setattr(mincuts.corpus, "_check_graph", failing)
+        stream = io.StringIO()
+        caught = raised if raised is ValueError or cpus == 1 else RuntimeError
+        with pytest.raises(caught) as info:
+            self._run(None, out=stream)
+        assert stream.getvalue().count("\n") == 4
+        pid = re.search(r"graph 4 failed in process (\d+)", str(info.value))[1]
+        assert (pid != str(os.getpid())) == (cpus > 1)
+        if caught is RuntimeError:
+            assert "Traceback" in str(info.value)
+        _assert_no_child_left()
+
+    def test_worker_that_dies_is_reported(self, monkeypatch):
+        monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(mincuts.corpus, "_check_graph", lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError, match="corpus worker 0 exited early"):
+            self._run(None)
+        _assert_no_child_left()
+
+    def test_broken_stream_leaves_no_worker(self, cpus):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        with pytest.raises(BrokenPipeError):
+            self._run(None, out=Closed())
+        _assert_no_child_left()
+
+    def test_unwritable_artifact_raises_value_error(self, cpus, tmp_path):
+        # Before: an IsADirectoryError traceback from the artifact write.
+        (tmp_path / "counterexample-0003.edges").mkdir()
+        with pytest.raises(ValueError) as info:
+            self._run(tmp_path)
+        assert str(info.value) == (
+            f"cannot write {tmp_path / 'counterexample-0003.edges'}: Is a directory"
+        )
+        _assert_no_child_left()
+
+    def test_artifact_path_with_a_newline_survives(self, cpus, tmp_path):
+        out_dir = tmp_path / "two\nlines"
+        result = run_corpus(
+            CorpusSpec(graph_count=7, seed=42), random_orders=1, out_dir=out_dir
+        )
+        shrunk = [l for l in result.lines if "counterexample=" in l]
+        assert shrunk and all(f"counterexample={out_dir}/" in l for l in shrunk)
 
 
 def test_fig1_and_k23_are_reference_constants(fig1, k23):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +235,18 @@ class TestInvariants:
             return run_yeh_original(fig1, YehPolicy("goto-step1", step_limit=40), opts)
 
         assert run(repeated) == run(ranking)
+
+    def test_random_pick_is_rng_choice_over_ascending_bits(self):
+        # The chooser draws without building a tuple of candidates. Each
+        # pick must be the one ``rng.choice`` makes on a twin generator,
+        # and later picks show that both streams stay in step.
+        masks = random.Random(0)
+        for seed in range(300):
+            choose = mincuts.enumeration._make_chooser(RandomOrder(seed))
+            twin = random.Random(seed)
+            for _ in range(40):
+                legal = masks.getrandbits(masks.randint(1, 70)) or 1 << masks.randrange(70)
+                assert choose(legal) == 1 << twin.choice(tuple(_bits(legal)))
 
 
 class TestBlockedSetPolicies:
