@@ -6,6 +6,7 @@ import io
 import os
 import re
 import shutil
+import threading
 
 import pytest
 
@@ -240,6 +241,23 @@ class TestWorkers:
         if caught is RuntimeError:
             assert "Traceback" in str(info.value)
         _assert_no_child_left()
+
+    def test_second_thread_keeps_the_run_in_process(self, monkeypatch):
+        # A forked child would hold only the forking thread.
+        monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(
+            mincuts.corpus, "_check_graph", lambda entry, *args: (str(os.getpid()), False)
+        )
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            result = self._run(None)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert set(result.lines) == {str(os.getpid())}
 
     def test_worker_that_dies_is_reported(self, monkeypatch):
         monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: 3)
