@@ -14,8 +14,11 @@ on ``fig1``, and the traced replica on ``fig1``) before the selection orders
 picked from the legal mask, and the ``pendants`` cases (chains hanging off
 ``s`` and ``t``, pruned to a triangle: text lists the pruned nodes in index
 order, ``b, c, b2, x, y``, and JSON sorts them, ``b, b2, c, x, y``) before
-the pruned labels were derived from the two graphs' labels; any change to
-them is a change of the behaviour contract.
+the pruned labels were derived from the two graphs' labels, and the traced
+``grid3x4`` cases (the corrected search, and the replica under
+``goto-step4``; the only traced rows whose prefix and candidate sets span
+two bytes of node bits) before trace events kept their candidates as
+masks; any change to them is a change of the behaviour contract.
 
 Re-record (only for an intended output change) with
 ``PYTHONPATH=src python -m tests.test_golden``.
@@ -57,7 +60,7 @@ CASES = [
     for name, flags in VARIANTS.items()
 ] + [
     ("grid3x4", name, VARIANTS[name], 0)
-    for name in ("default", "compare-oracle", "all-sinks")
+    for name in ("default", "trace", "compare-oracle", "all-sinks")
 ] + [
     ("pendants", name, VARIANTS[name], 0) for name in ("default", "all-sinks")
 ] + [
@@ -71,6 +74,7 @@ CASES = [
     ("fig1", "yeh-goto-step3-trace", (*YEH, "goto-step3"), 0),
     ("fig1", "yeh-goto-step3-random-trace", (*YEH, "goto-step3", "--order", "random:5"), 0),
     ("fig1", "yeh-goto-step4-trace", (*YEH, "goto-step4"), 0),
+    ("grid3x4", "yeh-goto-step4-trace", (*YEH, "goto-step4"), 0),
     # Unpruned, ``a`` and ``b`` hang off ``s``: step 1 re-selects ``a`` until
     # the default budget stops it, step 3 records ``{s,a}`` although
     # ``{b,t}`` is disconnected, and step 4 stops at the root ``{s}``.
