@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
@@ -38,7 +39,7 @@ from .enumeration import (
     run_yeh_original,
 )
 # No row uses cut_edges; perfbench/tracing.py wraps it here and tests/test_surface.py checks it.
-from .graph import Graph, NodeSet, build_graph, cut_edges, prune_irrelevant
+from .graph import Graph, NodeSet, _bits, build_graph, cut_edges, prune_irrelevant
 from .oracle import DiffReport, OracleResult, brute_force_mcvs, diff
 
 __all__ = ["ParseError", "RunConfig", "UsageError", "main", "parse_edge_list", "run"]
@@ -287,8 +288,7 @@ def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
                 if ev.node is not None:
                     parts.append(f"node={g.node_names[ev.node]}")
                 if ev.candidates:
-                    candidates = sum(1 << v for v in ev.candidates)
-                    parts.append(f"candidates={rows.mcv(candidates)}")
+                    parts.append(f"candidates={rows.mcv(ev.candidates)}")
                 print("  " + " ".join(parts), file=out)
 
     if run.comparison is not None:
@@ -473,7 +473,7 @@ class _RowFragments:
         item = self._item
         node = "null" if ev.node is None else self._label[ev.node]
         return (
-            f'{{{item}"candidates": {self._labels(ev.candidates)},'
+            f'{{{item}"candidates": {self._labels(tuple(_bits(ev.candidates)))},'
             f'{item}"node": {node},'
             f'{item}"prefix": {self._labels(ev.prefix)},'
             f'{item}"step": "{ev.step.value}"{self._end}}}'
@@ -675,6 +675,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = run(RunConfig(**vars(ns)))
             sys.stdout.flush()  # a reader that left early fails here, not at exit
             return code
+        policies = tuple(x for x in ns.b_policies.split(",") if x)
         try:
             spec = CorpusSpec(
                 graph_count=ns.count,
@@ -686,15 +687,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             result = run_corpus(
                 spec,
-                b_policies=tuple(x for x in ns.b_policies.split(",") if x),
+                b_policies=policies,
                 random_orders=ns.random_orders,
                 out_dir=ns.out_dir,
                 out=sys.stdout,
             )
         except ValueError as exc:
-            message = str(exc)
-            for field, flag in _CORPUS_FLAGS.items():
-                message = message.replace(field, flag)
+            # Name flags for fields, but keep the user's own words as they
+            # are: a b-policy, quoted, and the artifact paths under out_dir.
+            own = [repr(p) for p in policies]
+            if ns.out_dir is not None:
+                own.append(os.path.join(Path(ns.out_dir), ""))
+            words = "|".join(map(re.escape, [*own, *_CORPUS_FLAGS]))
+            message = re.sub(words, lambda m: _CORPUS_FLAGS.get(m[0], m[0]), str(exc))
             raise UsageError(message) from None
         print(
             f"# {result.graphs} graphs, {result.mismatches} mismatch(es)",

@@ -8,11 +8,12 @@ the whole pipeline is reproducible from a single integer seed.
 
 from __future__ import annotations
 
+import marshal
 import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence, TextIO
 
 from .enumeration import (
     B_POLICIES,
@@ -265,10 +266,10 @@ def _check_graph(
     g = entry.graph
     oracle_sets = brute_force_mcvs(g).mcvs
     failing: EnumerationOptions | None = None
+    orders = [AscendingOrder()] + [
+        RandomOrder(seed=entry.seed * 100 + j) for j in range(random_orders)
+    ]
     for policy in b_policies:
-        orders = [AscendingOrder()] + [
-            RandomOrder(seed=entry.seed * 100 + j) for j in range(random_orders)
-        ]
         for order in orders:
             opts = EnumerationOptions(selection_order=order, b_policy=policy)
             if frozenset(enumerate_mcvs(g, opts).mcvs) != oracle_sets:
@@ -314,40 +315,40 @@ def _in_workers(
 ) -> Iterator[tuple[str, bool]]:
     """``check`` of each entry, in entry order, run in forked workers.
 
-    Worker ``k`` checks entries ``k``, ``k + workers``, ... and sends one
-    record per entry down its own pipe; the records are read round-robin,
-    so each result is yielded as soon as it and those before it are in.
-    A record ends in NUL, because a line holds its artifact path, and a
-    path may hold a newline. A worker's ``ValueError`` is raised here as
-    one, any other exception as ``RuntimeError`` with its traceback. Every
-    worker is killed and reaped when the generator ends, fails or is closed.
+    Worker ``k`` checks entries ``k``, ``k + workers``, ... and writes each
+    result down its own pipe as one ``marshal`` frame, which carries any
+    ``str``, newlines and lone surrogates included; parent and workers are
+    one interpreter, so they share the format. The frames are read
+    round-robin, so each result is yielded as soon as it and those before
+    it are in. A worker's ``ValueError`` is raised here as one, any other
+    exception as ``RuntimeError`` with its traceback. Every worker is
+    killed and reaped when the generator ends, fails or is closed.
     """
     import signal
 
     pids: list[int] = []
-    fds: list[int] = []
+    streams: list[BinaryIO] = []
     try:
         for k in range(workers):
             read_fd, write_fd = os.pipe()
-            fds.append(read_fd)
+            streams.append(open(read_fd, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(check, entries[k::workers], write_fd, fds)
+                    _serve(check, entries[k::workers], write_fd, streams)
                 pids.append(pid)
             finally:
                 os.close(write_fd)
-        streams = [_records(fd) for fd in fds]
         for i in range(len(entries)):
-            record = next(streams[i % workers], None)
-            if record is None:
-                raise RuntimeError(f"corpus worker {i % workers} exited early")
-            kind, text = record[:1], record[1:].decode("utf-8", "surrogatepass")
-            if kind == b"V":
+            try:
+                text, kind = marshal.load(streams[i % workers])
+            except EOFError:
+                raise RuntimeError(f"corpus worker {i % workers} exited early") from None
+            if kind == "ValueError":
                 raise ValueError(text)
-            if kind == b"X":
+            if kind == "traceback":
                 raise RuntimeError(f"corpus worker failed:\n{text}")
-            yield text, kind == b"1"
+            yield text, kind
     finally:
         for pid in pids:
             try:
@@ -355,17 +356,18 @@ def _in_workers(
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):
                 pass  # already reaped, where SIGCHLD is ignored
-        for fd in fds:
-            os.close(fd)
+        for stream in streams:
+            stream.close()
 
 
 def _serve(
     check: Callable[[CorpusEntry], tuple[str, bool]],
     entries: list[CorpusEntry],
     fd: int,
-    inherited: list[int],
+    inherited: list[BinaryIO],
 ) -> NoReturn:
-    """A worker's whole life: a record per entry, or an error record.
+    """A worker's whole life: a ``(line, mismatched)`` frame per entry, or
+    one ``(text, kind)`` error frame, ``kind`` naming the error.
 
     It leaves through ``os._exit``, so neither the buffers nor the exit
     hooks it inherited run a second time. It closes the read ends it
@@ -373,34 +375,22 @@ def _serve(
     parent is gone.
     """
     try:
+        stream = open(fd, "wb")
         for other in inherited:
-            os.close(other)
+            other.close()
         for entry in entries:
-            line, mismatched = check(entry)
-            _send(fd, b"1" if mismatched else b"0", line)
+            marshal.dump(check(entry), stream)
+            stream.flush()
     except ValueError as exc:
-        _send(fd, b"V", str(exc))
+        marshal.dump((str(exc), "ValueError"), stream)
+        stream.flush()
     except Exception:
         import traceback
 
-        _send(fd, b"X", traceback.format_exc())
+        marshal.dump((traceback.format_exc(), "traceback"), stream)
+        stream.flush()
     finally:
         os._exit(0)
-
-
-def _send(fd: int, kind: bytes, text: str) -> None:
-    data = kind + text.encode("utf-8", "surrogatepass") + b"\0"
-    while data:
-        data = data[os.write(fd, data):]
-
-
-def _records(fd: int) -> Iterator[bytes]:
-    """The NUL-ended records read from ``fd`` up to end of file; an
-    unfinished last record is dropped."""
-    tail = b""
-    while chunk := os.read(fd, 1 << 16):
-        *done, tail = (tail + chunk).split(b"\0")
-        yield from done
 
 
 def _disagreement_check(opts: EnumerationOptions) -> Callable[[Graph], bool]:

@@ -19,7 +19,7 @@ Two engines search with the same state (prefix stack ``S``, remainder
 Both run iteratively with explicit stacks, so deep graphs cannot exhaust
 the call stack, and record each set as the ``int`` bitmask of its prefix
 (:data:`mincuts.graph.NodeSet`); trace events keep the prefix as a tuple in
-stack order.
+stack order and their candidates as a bitmask.
 """
 
 from __future__ import annotations
@@ -160,17 +160,18 @@ class TraceStep(str, Enum):
 class TraceEvent:
     """One step of a run.
 
-    ``prefix`` snapshots the prefix stack after the event applies (so a
-    record event shows the newly recorded stack, a backtrack event the
-    shortened one). ``candidates`` is the legal candidate set on a select
-    event; on an exhausted event it is the raw remainder after exclusions,
-    which may still hold nodes that merely lack an edge into the prefix.
+    ``prefix`` snapshots the prefix stack, in stack order, after the event
+    applies (so a record event shows the newly recorded stack, a backtrack
+    event the shortened one). ``candidates`` is a node set, as a bitmask:
+    the legal candidates on a select event, the raw remainder after
+    exclusions on an exhausted event (it may hold nodes that merely lack an
+    edge into the prefix), and ``0`` on any other event.
     """
 
     step: TraceStep
     prefix: tuple[int, ...]
     node: int | None = None
-    candidates: tuple[int, ...] = ()
+    candidates: NodeSet = 0
 
 
 @dataclass
@@ -333,7 +334,7 @@ def enumerate_mcvs(
         legal = rest & frontier & ~(blocked | excluded)
         if not legal:
             if tracing:
-                raw = tuple(_bits(rest & ~(blocked | excluded)))
+                raw = rest & ~(blocked | excluded)
                 trace.append(TraceEvent(TraceStep.STEP1_EXHAUSTED, path, None, raw))
             # Step 4: stop at the root, otherwise back out one level.
             if not saved:
@@ -353,7 +354,7 @@ def enumerate_mcvs(
             break
         if tracing:
             v = low.bit_length() - 1
-            trace.append(TraceEvent(TraceStep.STEP1_SELECT, path, v, tuple(_bits(legal))))
+            trace.append(TraceEvent(TraceStep.STEP1_SELECT, path, v, legal))
 
         # Step 2: keep the pick only if the remainder stays connected without it.
         # Only the root's remainder can be split, so only it needs the full BFS.
@@ -444,7 +445,7 @@ def run_yeh_original(
 
     def emit(step: TraceStep, node: int | None = None, candidates: int = 0) -> None:
         if tracing:
-            trace.append(TraceEvent(step, tuple(stack), node, tuple(_bits(candidates))))
+            trace.append(TraceEvent(step, tuple(stack), node, candidates))
 
     def report(status: RunStatus) -> EnumerationReport:
         return EnumerationReport(

@@ -44,7 +44,7 @@ def reference_enumerate_mcvs(
     def emit(step: TraceStep, node: int | None = None,
              candidates: tuple[int, ...] = ()) -> None:
         if opts.record_trace:
-            trace.append(TraceEvent(step, tuple(stack), node, candidates))
+            trace.append(TraceEvent(step, tuple(stack), node, sum(1 << v for v in candidates)))
 
     def report(status: RunStatus) -> EnumerationReport:
         emit(TraceStep.STOP)

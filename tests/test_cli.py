@@ -302,7 +302,7 @@ def _text_rows(g, report, comparison):
         if ev.node is not None:
             parts.append(f"node={g.node_names[ev.node]}")
         if ev.candidates:
-            parts.append(f"candidates={_text_set(g, ev.candidates)}")
+            parts.append(f"candidates={_text_set(g, _members(ev.candidates))}")
         rows.append("  " + " ".join(parts))
     for name, group in (("missing", comparison.missing), ("spurious", comparison.spurious)):
         for u in sorted(group, key=lambda u: sorted(g.label_set(u))):
@@ -912,6 +912,30 @@ class TestMain:
         assert flag in err
         assert field not in err
         assert "Traceback" not in err
+
+    def test_corpus_errors_keep_a_path_that_names_a_field(self, tmp_path, capsys):
+        # Before: ``error: cannot write .../--out-dir/counterexample-0003.edges``.
+        out_dir = tmp_path / "out_dir"
+        taken = out_dir / "counterexample-0003.edges"
+        taken.mkdir(parents=True)
+        code = main(["corpus", "--count", "20", "--seed", "42", "--out-dir", str(out_dir)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: cannot write {taken}: Is a directory\n"
+        # The library's own word is still renamed when the path is that word.
+        file = tmp_path / "sub" / "out_dir"
+        file.parent.mkdir()
+        file.write_text("")
+        code = main(["corpus", "--count", "1", "--seed", "1", "--out-dir", str(file)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: cannot create --out-dir: File exists\n"
+
+    def test_corpus_errors_keep_a_b_policy_that_names_a_field(self, capsys):
+        # Before: ``error: unknown b-policy '--min-nodes'``.
+        code = main(["corpus", "--count", "3", "--seed", "1", "--b-policies", "min_nodes"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "graph=" not in captured.out
+        assert captured.err == "error: unknown b-policy 'min_nodes'\n"
 
     def test_usage_error_exit_one(self, capsys):
         code = main(["run", str(FIXTURES / "fig1.edges"), "--algorithm", "nonsense"])

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import io
 import os
 import re
 import shutil
 import threading
+import warnings
 
 import pytest
 
@@ -292,6 +295,48 @@ class TestWorkers:
         )
         shrunk = [l for l in result.lines if "counterexample=" in l]
         assert shrunk and all(f"counterexample={out_dir}/" in l for l in shrunk)
+
+    def test_artifact_path_with_a_lone_surrogate_survives(self, tmp_path, monkeypatch):
+        # A file name that is not UTF-8 decodes to a lone surrogate, which
+        # the workers' frames must carry unchanged.
+        out_dir = tmp_path / os.fsdecode(b"cex\xff")
+        runs = []
+        for count in (1, 3):
+            monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: count)
+            result = self._run(out_dir)
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            runs.append((result.lines, files))
+            shutil.rmtree(out_dir)
+        (one_lines, one_files), (three_lines, three_files) = runs
+        assert one_lines == three_lines
+        assert one_files == three_files
+        assert any(f"counterexample={out_dir}/" in line for line in one_lines)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "ending, raised",
+        [("normal", None), ("value-error", ValueError), ("worker-dies", RuntimeError)],
+        ids=["normal", "value-error", "worker-dies"],
+    )
+    def test_pipes_leak_nothing(self, monkeypatch, ending, raised):
+        monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: 3)
+        check = mincuts.corpus._check_graph
+
+        def ends(entry, *args):
+            if entry.index == 4 and ending == "value-error":
+                raise ValueError("graph 4 failed")
+            if entry.index == 4 and ending == "worker-dies":
+                os._exit(3)
+            return check(entry, *args)
+
+        monkeypatch.setattr(mincuts.corpus, "_check_graph", ends)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(raised) if raised else contextlib.nullcontext():
+                self._run(None)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        _assert_no_child_left()
 
 
 def test_fig1_and_k23_are_reference_constants(fig1, k23):

@@ -100,7 +100,7 @@ class TestCorrectedOnFig1:
             if ev.step is TraceStep.STEP1_EXHAUSTED and len(ev.prefix) == 1
         ]
         last = exhausted_at_root[-1]
-        assert tuple(fig1.node_names[v] for v in last.candidates) == ("3",)
+        assert fig1.label_set(last.candidates) == ("3",)
 
     def test_script_too_short_aborts(self, fig1):
         opts = EnumerationOptions(selection_order=_scripted(fig1, ["1"]))
