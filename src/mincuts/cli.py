@@ -10,19 +10,23 @@ oracle-comparison mismatch, 3 step limit exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import marshal
 import os
 import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, xor
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
-from .corpus import RANDOM_ORDERS, CorpusSpec, run_corpus
+from .corpus import RANDOM_ORDERS, CorpusSpec, _fork_slots, _kill_and_reap, run_corpus
 from .enumeration import (
+    _BATCH,
     B_POLICIES,
     YEH_POLICIES,
     AscendingOrder,
@@ -167,14 +171,17 @@ def _parse_order(spec: str, g: Graph) -> SelectionOrder:
 
 @dataclass
 class _SinkRun:
-    """Everything one source/sink pipeline produced."""
+    """One source/sink pipeline: :func:`_prepare` makes its checks and its
+    oracle scan, and :func:`_search` fills in the rest."""
 
     graph: Graph
     pruned_labels: tuple[str, ...]
-    report: EnumerationReport | None
+    opts: EnumerationOptions | None  # None for the oracle algorithm
+    policy: YehPolicy | None  # set for the replica only
     oracle: OracleResult | None
-    comparison: DiffReport | None
-    exit_code: int
+    report: EnumerationReport | None = None
+    comparison: DiffReport | None = None
+    exit_code: int = EXIT_OK
 
 
 def _labels_sorted(g: Graph, u: NodeSet) -> list[str]:
@@ -185,8 +192,9 @@ def _edge_labels_sorted(g: Graph, edges) -> list[list[str]]:
     return sorted(sorted([g.node_names[u], g.node_names[v]]) for u, v in edges)
 
 
-def _execute(g: Graph, config: RunConfig, err: TextIO) -> _SinkRun:
-    """Prune ``g``, then search, scan or both for the sink it carries."""
+def _prepare(g: Graph, config: RunConfig, err: TextIO) -> _SinkRun:
+    """Prune ``g`` and make every check that can fail for the sink it
+    carries; scan it with the oracle when asked. Only the search is left."""
     pruned_labels: tuple[str, ...] = ()
     if config.prune:
         pruned = prune_irrelevant(g)
@@ -201,7 +209,7 @@ def _execute(g: Graph, config: RunConfig, err: TextIO) -> _SinkRun:
             g = pruned
 
     if config.algorithm == "oracle":
-        return _SinkRun(g, pruned_labels, None, brute_force_mcvs(g), None, EXIT_OK)
+        return _SinkRun(g, pruned_labels, None, None, brute_force_mcvs(g))
     opts = EnumerationOptions(
         selection_order=_parse_order(config.order, g),
         b_policy=config.b_policy,  # type: ignore[arg-type]
@@ -214,17 +222,25 @@ def _execute(g: Graph, config: RunConfig, err: TextIO) -> _SinkRun:
     # After the options are checked and before the search, so a bad option
     # wastes no scan and a graph past the oracle's limit no search.
     oracle = brute_force_mcvs(g) if config.compare_oracle else None
-    if policy is None:
-        report = enumerate_mcvs(g, opts)
+    return _SinkRun(g, pruned_labels, opts, policy, oracle)
+
+
+def _search(
+    run: _SinkRun, on_batch: Callable[[list[NodeSet]], object] | None = None
+) -> None:
+    """Search a prepared run, compare it with its oracle scan, if any, and
+    set its exit code; ``on_batch`` goes to :func:`enumerate_mcvs`."""
+    if run.opts is None:
+        return
+    if run.policy is None:
+        run.report = enumerate_mcvs(run.graph, run.opts, on_batch=on_batch)
     else:
-        report = run_yeh_original(g, policy, opts)
-    code = _STATUS_EXIT[report.status]
-    comparison = None
-    if oracle is not None:
-        comparison = diff(report, oracle)
-        if not comparison.agree:
-            code = max(code, EXIT_MISMATCH)
-    return _SinkRun(g, pruned_labels, report, oracle, comparison, code)
+        run.report = run_yeh_original(run.graph, run.policy, run.opts)
+    run.exit_code = _STATUS_EXIT[run.report.status]
+    if run.oracle is not None:
+        run.comparison = diff(run.report, run.oracle)
+        if not run.comparison.agree:
+            run.exit_code = max(run.exit_code, EXIT_MISMATCH)
 
 
 def _mcv_sets(run: _SinkRun) -> Sequence[NodeSet]:
@@ -233,6 +249,11 @@ def _mcv_sets(run: _SinkRun) -> Sequence[NodeSet]:
         return run.report.mcvs
     assert run.oracle is not None
     return sorted(run.oracle.mcvs, key=lambda u: _labels_sorted(run.graph, u))
+
+
+def _batches(items: Sequence) -> Iterator[Sequence]:
+    """``items`` in slices of ``_BATCH``, the last one possibly shorter."""
+    return (items[i:i + _BATCH] for i in range(0, len(items), _BATCH))
 
 
 def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
@@ -268,9 +289,12 @@ def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
 
     sets, rows = _mcv_sets(run), _RowFragments(g, None)
     print(f"mcvs ({len(sets)}):", file=out)
-    for u in sets:
-        cut = f"  cut {rows.cut(u)}" if config.emit_cuts else ""
-        print(f"  {rows.mcv(u)}{cut}", file=out)
+    for batch in _batches(sets):
+        if config.emit_cuts:
+            lines = [f"  {m}  cut {c}\n" for m, c in zip(rows.mcvs(batch), rows.cuts(batch))]
+        else:
+            lines = [f"  {m}\n" for m in rows.mcvs(batch)]
+        out.write("".join(lines))
 
     if run.report is not None:
         st = run.report.stats
@@ -282,14 +306,18 @@ def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
         )
         if config.trace:
             print("trace:", file=out)
-            for ev in run.report.trace:
+
+            def line(ev: TraceEvent) -> str:
                 prefix = sum(1 << v for v in ev.prefix)
                 parts = [ev.step.value, f"prefix={rows.mcv(prefix)}"]
                 if ev.node is not None:
                     parts.append(f"node={g.node_names[ev.node]}")
                 if ev.candidates:
                     parts.append(f"candidates={rows.mcv(ev.candidates)}")
-                print("  " + " ".join(parts), file=out)
+                return "  " + " ".join(parts) + "\n"
+
+            for batch in _batches(run.report.trace):
+                out.write("".join(map(line, batch)))
 
     if run.comparison is not None:
         if run.comparison.agree:
@@ -304,43 +332,17 @@ def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
                     print(f"  {name}: {rows.mcv(u)}", file=out)
 
 
-def _json_fields(run: _SinkRun, config: RunConfig) -> dict:
-    """Every top-level key of a run's JSON object except the streamed ones:
-    ``mcvs``, ``cuts`` and ``trace``."""
-    g = run.graph
-    fields: dict = {
-        "graph": {
-            "nodes": list(g.node_names),
-            "edges": _edge_labels_sorted(g, g.edges),
-            "source": g.node_names[g.source],
-            "sink": g.node_names[g.sink],
-            "pruned_nodes": sorted(run.pruned_labels),
-        },
-        "algorithm": {
-            "name": config.algorithm,
-            "options": _options_json(config),
-        },
-    }
-    if run.report is not None:
-        fields["stats"] = asdict(run.report.stats)
-        fields["status"] = run.report.status.value
+def _tail(run: _SinkRun) -> dict:
+    """A searched run's last frame: the values of its ``stats`` and
+    ``status`` keys, and as ``diff`` the missing, spurious and invalid
+    masks of its oracle comparison (None without one)."""
+    if run.report is None:
+        stats, status = {"subsets_scanned": 1 << (run.graph.node_count - 2)}, "completed"
     else:
-        fields["stats"] = {"subsets_scanned": 1 << (g.node_count - 2)}
-        fields["status"] = "completed"
-    if run.comparison is not None:
-        fields["diff"] = {
-            "agree": run.comparison.agree,
-            "missing": sorted(
-                _labels_sorted(g, u) for u in run.comparison.missing
-            ),
-            "spurious": sorted(
-                _labels_sorted(g, u) for u in run.comparison.spurious
-            ),
-            "invalid": sorted(
-                _labels_sorted(g, u) for u in run.comparison.invalid
-            ),
-        }
-    return fields
+        stats, status = asdict(run.report.stats), run.report.status.value
+    c = run.comparison
+    masks = None if c is None else (c.missing, c.spurious, c.invalid)
+    return {"stats": stats, "status": status, "diff": masks}
 
 
 def _options_json(config: RunConfig) -> dict:
@@ -450,18 +452,31 @@ class _RowFragments:
         self._node_skip, self._edge_skip = len(node_sep), len(edge_sep)
 
     def mcv(self, u: NodeSet) -> str:
-        return self._row(self._node_positions, self._node_text, self._node_skip, u)
+        return self.mcvs((u,))[0]
 
     def cut(self, u: NodeSet) -> str:
-        return self._row(self._incidence, self._edge_text, self._edge_skip, u)
+        return self.cuts((u,))[0]
 
-    def _row(self, masks: list[_ByteTable], texts: list[_ByteTable], skip: int,
-             u: NodeSet) -> str:
-        """XOR the ``masks`` entries of ``u``'s bytes into a position mask,
-        and join the ``texts`` entries of its bytes."""
-        p = reduce(xor, map(_lookup, masks, u.to_bytes(len(masks), "little")))
-        body = "".join(map(_lookup, texts, p.to_bytes(len(texts), "little")))
-        return self._open + body[skip:] + self._close
+    def mcvs(self, batch: Sequence[NodeSet]) -> list[str]:
+        return self._rows(self._node_positions, self._node_text, self._node_skip, batch)
+
+    def cuts(self, batch: Sequence[NodeSet]) -> list[str]:
+        return self._rows(self._incidence, self._edge_text, self._edge_skip, batch)
+
+    def _rows(self, masks: list[_ByteTable], texts: list[_ByteTable], skip: int,
+              batch: Sequence[NodeSet]) -> list[str]:
+        """One row per set ``u`` in ``batch``: XOR the ``masks`` entries of
+        ``u``'s bytes into a position mask, and join the ``texts`` entries
+        of its bytes."""
+        m, t, join = len(masks), len(texts), "".join
+        head, tail = self._open, self._close
+        return [
+            head
+            + join(map(_lookup, texts, reduce(
+                xor, map(_lookup, masks, u.to_bytes(m, "little"))).to_bytes(t, "little")))[skip:]
+            + tail
+            for u in batch
+        ]
 
     def _labels(self, nodes: tuple[int, ...]) -> str:
         """A label list in the given order, one level below the row's keys."""
@@ -480,55 +495,106 @@ class _RowFragments:
         )
 
 
-def _json_array(rows: Iterable[str], level: int) -> Iterator[str]:
+def _json_array(batches: Iterable[list[str]], level: int) -> Iterator[str]:
     """A JSON array at nesting ``level`` of rows rendered a level deeper,
-    each row yielded with the separator in front of it."""
+    given in non-empty lists and yielded as one chunk per list, each row
+    with the separator in front of it. Only the chunk outlives the join,
+    so the rows of a batch are held twice at most."""
     pad = _indent(level + 1)
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        yield "[]"
-        return
-    yield "[" + pad + first
-    yield from map(("," + pad).__add__, rows)
-    yield _indent(level) + "]"
+    sep = "," + pad
+    lead, closer = "[" + pad, "[]"
+    for rows in batches:
+        rows[0] = lead + rows[0]
+        chunk = sep.join(rows)
+        del rows
+        yield chunk
+        lead, closer = sep, _indent(level) + "]"
+    yield closer
 
 
-def _run_json(run: _SinkRun, config: RunConfig, level: int) -> Iterator[str]:
+def _run_json(
+    run: _SinkRun, config: RunConfig, level: int, frames: Iterator | None = None
+) -> Iterator[str]:
     """One run's JSON object at nesting ``level``, as a stream of chunks:
-    one per ``mcvs``, ``cuts`` and ``trace`` row with its separator, one per
-    other key.
+    one per batch of ``cuts``, ``mcvs`` or ``trace`` rows, one per other key.
 
-    The small keys go through ``json.dumps`` with every newline shifted to
-    the key's depth (a JSON string never holds a raw newline); the ``mcvs``,
-    ``cuts`` and ``trace`` rows are joined from :class:`_RowFragments`.
+    ``frames`` are the run's sets as non-empty sequences of masks, in
+    report order, and then its :func:`_tail`, a ``dict``; by default they
+    are cut from the searched ``run``. The keys come in sorted order, and
+    ``cuts`` is the first that needs the sets: the ``cuts`` rows of each
+    frame are written as it comes in, and every key after ``cuts`` once the
+    tail is in. The small keys go through ``json.dumps`` with every newline
+    shifted to the key's depth (a JSON string never holds a raw newline);
+    the rows are joined from :class:`_RowFragments`.
     """
-    fields = _json_fields(run, config)
-    sets = _mcv_sets(run)
-    rows = _RowFragments(run.graph, level + 2)
-    streamed = {"mcvs": map(rows.mcv, sets), "cuts": map(rows.cut, sets)}
-    if config.trace and run.report is not None:
-        streamed["trace"] = map(rows.trace, run.report.trace)
-    opener, pad = "{", _indent(level + 1)
-    for key in sorted([*fields, *streamed]):
-        yield f'{opener}{pad}"{key}": '
-        if key in streamed:
-            yield from _json_array(streamed[key], level + 1)
-        else:
-            yield json.dumps(fields[key], sort_keys=True, indent=2).replace("\n", pad)
-        opener = ","
+    g = run.graph
+    rows = _RowFragments(g, level + 2)
+    if frames is None:
+        frames = iter([*_batches(_mcv_sets(run)), _tail(run)])
+    batches: list[Sequence[NodeSet]] = []
+    tail: dict = {}
+    pad = _indent(level + 1)
+
+    def key(name: str) -> str:
+        return f'{pad}"{name}": '
+
+    def small(value) -> str:
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+
+    def labels(group: frozenset) -> list[list[str]]:
+        return sorted(_labels_sorted(g, u) for u in group)
+
+    def cut_rows() -> Iterator[list[str]]:
+        nonlocal tail
+        while not isinstance(frame := next(frames), dict):
+            yield rows.cuts(frame)
+            batches.append(frame)
+        tail = frame
+
+    yield "{" + key("algorithm") + small(
+        {"name": config.algorithm, "options": _options_json(config)})
+    yield "," + key("cuts")
+    yield from _json_array(cut_rows(), level + 1)
+    if tail["diff"] is not None:
+        c = DiffReport(*tail["diff"])
+        yield "," + key("diff") + small({
+            "agree": c.agree,
+            "missing": labels(c.missing),
+            "spurious": labels(c.spurious),
+            "invalid": labels(c.invalid),
+        })
+    yield "," + key("graph") + small({
+        "nodes": list(g.node_names),
+        "edges": _edge_labels_sorted(g, g.edges),
+        "source": g.node_names[g.source],
+        "sink": g.node_names[g.sink],
+        "pruned_nodes": sorted(run.pruned_labels),
+    })
+    yield "," + key("mcvs")
+    yield from _json_array(map(rows.mcvs, batches), level + 1)
+    yield "," + key("stats") + small(tail["stats"])
+    yield "," + key("status") + small(tail["status"])
+    if config.trace:
+        assert run.report is not None
+        yield "," + key("trace")
+        events = _batches(run.report.trace)
+        yield from _json_array(([*map(rows.trace, b)] for b in events), level + 1)
     yield _indent(level) + "}"
 
 
-def canonical_json(runs: Sequence[_SinkRun], config: RunConfig, out: TextIO) -> None:
-    """Write the runs' canonical JSON to ``out``, row by row.
+def canonical_json(
+    runs: Sequence[_SinkRun], config: RunConfig, out: TextIO, frames: Iterator | None = None
+) -> None:
+    """Write the runs' canonical JSON to ``out``, a batch of rows at a time.
 
     The bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)``
     plus a trailing newline, where ``payload`` is the single run's object,
     or ``{"runs": [...]}`` under ``--all-sinks``; re-serializing
     ``json.loads`` of the output reproduces it byte for byte. Rows are
-    rendered one at a time, so neither the row lists nor the document are
-    ever held whole.
+    rendered and written a batch at a time, so neither the row lists nor
+    the document are ever held whole. ``frames`` stands in for the single
+    run's search, when that runs in another process while this writes (see
+    :func:`_write_while_searching`).
     """
     if config.all_sinks:
         out.write('{\n  "runs": [')
@@ -537,8 +603,115 @@ def canonical_json(runs: Sequence[_SinkRun], config: RunConfig, out: TextIO) -> 
             out.writelines(_run_json(r, config, 2))
         out.write("\n  ]\n}\n")
     else:
-        out.writelines(_run_json(runs[0], config, 0))
+        out.writelines(_run_json(runs[0], config, 0, frames))
         out.write("\n")
+
+
+def _forks_writer(config: RunConfig, out: TextIO) -> bool:
+    """Whether a JSON writer may be forked to write ``out`` while the search
+    runs: one corrected search, untraced, into a stream with a file
+    descriptor, in a process that may fork (see ``corpus._fork_slots``)."""
+    if (config.output_format, config.algorithm) != ("json", "corrected"):
+        return False
+    if config.trace or config.all_sinks:
+        return False
+    try:
+        out.fileno()
+    except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
+        return False
+    return _fork_slots(2) > 1
+
+
+def _write_while_searching(run: _SinkRun, config: RunConfig, out: TextIO,
+                           err: TextIO) -> None:
+    """Search ``run`` here while a forked writer writes its canonical JSON
+    to ``out``.
+
+    The search hands the writer each batch of sets as one ``marshal``
+    frame, and then the run's :func:`_tail`; the writer writes the ``cuts``
+    rows of each batch as it comes in, and the rest of the document after
+    the tail. Once it has flushed ``out``, it answers with one frame. A
+    writer that met a closed pipe on ``out`` raises ``BrokenPipeError``
+    here, and any other failure of the writer a ``RuntimeError`` with its
+    traceback. The writer is killed and reaped before this returns or
+    raises.
+    """
+    out.flush()
+    err.flush()
+    frames_read, frames_write = os.pipe()
+    answer_read, answer_write = os.pipe()
+    frames, answers = open(frames_write, "wb"), open(answer_read, "rb")
+    pids: list[int] = []
+
+    def send(frame) -> None:
+        marshal.dump(frame, frames)
+        frames.flush()
+
+    try:
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _serve_json(run, config, out, frames_read, answer_write, [frames, answers])
+            pids.append(pid)
+        finally:
+            os.close(frames_read)
+            os.close(answer_write)
+        try:
+            _search(run, on_batch=send)
+            send(_tail(run))
+        except BrokenPipeError:
+            pass  # the writer stopped reading; its answer says why
+        try:
+            kind, text = marshal.load(answers)
+        except EOFError:
+            raise RuntimeError("JSON writer exited early") from None
+    finally:
+        _kill_and_reap(pids)
+        answers.close()
+        with contextlib.suppress(BrokenPipeError):  # a frame the writer never read
+            frames.close()
+    if kind == "BrokenPipeError":
+        raise BrokenPipeError(text)
+    if kind == "traceback":
+        raise RuntimeError(f"JSON writer failed:\n{text}")
+
+
+def _serve_json(
+    run: _SinkRun,
+    config: RunConfig,
+    out: TextIO,
+    frames_fd: int,
+    answer_fd: int,
+    inherited: list[BinaryIO],
+) -> NoReturn:
+    """The forked writer's whole life: the JSON from the frames on
+    ``frames_fd``, then one ``(kind, text)`` answer on ``answer_fd``:
+    ``done``, ``BrokenPipeError`` or ``traceback``.
+
+    It closes the pipe ends it inherited, so a frame pipe that closes
+    early ends it, and its own frame pipe before it answers, so a search
+    blocked on a frame it will not read fails at once. It leaves through
+    ``os._exit``, so neither the buffers nor the exit hooks it inherited
+    run a second time.
+    """
+    try:
+        for stream in inherited:
+            stream.close()
+        try:
+            with open(frames_fd, "rb") as frames:
+                canonical_json([run], config, out, map(marshal.load, repeat(frames)))
+                out.flush()
+            answer = ("done", "")
+        except BrokenPipeError as exc:
+            answer = ("BrokenPipeError", str(exc))
+        except BaseException:
+            import traceback
+
+            answer = ("traceback", traceback.format_exc())
+        with open(answer_fd, "wb") as stream:
+            marshal.dump(answer, stream)
+    finally:
+        os._exit(0)
 
 
 def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None) -> int:
@@ -577,12 +750,18 @@ def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None)
         g = build_graph(pairs, source, sinks[0])
         if len(pairs) > g.edge_count:  # self-loops are rejected, so these are merged parallels
             print(f"warning: merged {len(pairs) - g.edge_count} parallel edge(s)", file=err)
-        runs = [_execute(replace(g, sink=g.index_of(x)), config, err) for x in sinks]
+        runs = [_prepare(replace(g, sink=g.index_of(x)), config, err) for x in sinks]
+        forked = _forks_writer(config, out)
+        if not forked:
+            for r in runs:
+                _search(r)
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 
-    if config.output_format == "json":
+    if forked:
+        _write_while_searching(runs[0], config, out, err)
+    elif config.output_format == "json":
         canonical_json(runs, config, out)
     else:
         for i, r in enumerate(runs):

@@ -228,17 +228,13 @@ def run_corpus(
         except OSError as exc:
             raise ValueError(f"cannot create out_dir: {exc.strerror}") from None
 
-    import threading
-
     entries = corpus_entries(spec)
 
     def check(entry: CorpusEntry) -> tuple[str, bool]:
         return _check_graph(entry, b_policies, random_orders, out_path)
 
-    workers = min(_usable_cpus(), len(entries))
-    # A forked child holds only the forking thread, and perhaps a lock
-    # that another thread held.
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+    workers = _fork_slots(len(entries))
+    if workers > 1:
         results = _in_workers(check, entries, workers)
     else:
         results = (check(entry) for entry in entries)
@@ -308,6 +304,30 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _fork_slots(limit: int) -> int:
+    """How many processes, this one included and at most ``limit``, a
+    forking run may use: one per usable CPU, or 1 where there is no
+    ``os.fork`` or a second thread runs. A forked child holds only the
+    forking thread, and perhaps a lock that another thread held."""
+    import threading
+
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), limit)
+
+
+def _kill_and_reap(pids: Sequence[int]) -> None:
+    """SIGKILL each forked child and wait for it, so none outlives its run."""
+    import signal
+
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass  # already reaped, where SIGCHLD is ignored
+
+
 def _in_workers(
     check: Callable[[CorpusEntry], tuple[str, bool]],
     entries: list[CorpusEntry],
@@ -324,8 +344,6 @@ def _in_workers(
     exception as ``RuntimeError`` with its traceback. Every worker is
     killed and reaped when the generator ends, fails or is closed.
     """
-    import signal
-
     pids: list[int] = []
     streams: list[BinaryIO] = []
     try:
@@ -350,12 +368,7 @@ def _in_workers(
                 raise RuntimeError(f"corpus worker failed:\n{text}")
             yield text, kind
     finally:
-        for pid in pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass  # already reaped, where SIGCHLD is ignored
+        _kill_and_reap(pids)
         for stream in streams:
             stream.close()
 

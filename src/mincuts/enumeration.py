@@ -55,6 +55,9 @@ BPolicy = Literal["scoped", "persistent"]
 OnDisconnected = Literal["goto-step1", "goto-step3", "goto-step4"]
 B_POLICIES: tuple[str, ...] = get_args(BPolicy)
 YEH_POLICIES: tuple[str, ...] = get_args(OnDisconnected)
+# Sets per ``on_batch`` call of :func:`enumerate_mcvs`, the last call aside;
+# at least 2, as the root is recorded before the loop checks the count.
+_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -261,7 +264,10 @@ class EnumerationReport:
 
 
 def enumerate_mcvs(
-    g: Graph, opts: EnumerationOptions | None = None
+    g: Graph,
+    opts: EnumerationOptions | None = None,
+    *,
+    on_batch: Callable[[list[NodeSet]], object] | None = None,
 ) -> EnumerationReport:
     """Enumerate every node set generating a minimal s-t cut.
 
@@ -290,6 +296,12 @@ def enumerate_mcvs(
 
     Completes on every valid input; a scripted order that runs dry aborts
     with status ``SCRIPT_EXHAUSTED`` and partial results.
+
+    ``on_batch``, when given, receives the recorded sets while the search
+    runs: a list of the next 1,024 each time that many more are recorded,
+    the root ``{s}`` leading the first, and the rest once the loop ends.
+    The lists are never empty, and joined they are ``report.mcvs``. An
+    exception it raises stops the search and reaches the caller.
 
     Every order, policy and trace setting runs the same loop over
     bitmasks: the prefix's frontier is one mask grown on descent and
@@ -323,6 +335,9 @@ def enumerate_mcvs(
     # node descended into.
     saved: list[tuple[int, int, int, int, int]] = []
     found = [full ^ rest]  # the root prefix {s} is itself recorded
+    # ``found[:sent]`` went to ``on_batch``; the next batch is due at
+    # ``len(found) == due``, which without a callback never comes.
+    sent, due = 0, _BATCH if on_batch is not None else 0
     checks = 0
     status = RunStatus.COMPLETED
     if tracing:
@@ -373,6 +388,9 @@ def enumerate_mcvs(
             if not near & (near - 1):
                 fails &= ~near if near else 0
             found.append(full ^ rest)
+            if len(found) == due:
+                on_batch(found[sent:])
+                sent, due = due, due + _BATCH
             if tracing:
                 trace.append(TraceEvent(TraceStep.STEP2_CONNECTED, path, v))
                 path += (v,)
@@ -385,6 +403,8 @@ def enumerate_mcvs(
 
     if tracing:
         trace.append(TraceEvent(TraceStep.STOP, path))
+    if on_batch is not None and sent < len(found):
+        on_batch(found[sent:])
     # The loop's structure fixes the other counters (see ``RunStats``).
     records = len(found) - 1
     backtracks = records - len(saved)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from functools import reduce
 from operator import xor
 
@@ -17,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mincuts.cli
+import mincuts.corpus
 import mincuts.enumeration
 import mincuts.oracle
 from mincuts import (
@@ -45,7 +48,14 @@ from mincuts.cli import (
     run,
 )
 
-from .conftest import FIXTURES, as_frozen, FIG1_GOLDEN, path_graph_edges, sparse_graphs
+from .conftest import (
+    FIXTURES,
+    as_frozen,
+    FIG1_GOLDEN,
+    grid_graph_edges,
+    path_graph_edges,
+    sparse_graphs,
+)
 
 
 class TestParseEdgeList:
@@ -1003,3 +1013,135 @@ def test_cli_run_imports_no_networkx():
     )
     assert result.returncode == 0, result.stderr
     assert "mcvs (9):" in result.stdout
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _leaves_nothing():
+    """The block leaves no child process and warns of no unclosed file."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    _assert_no_child_left()
+
+
+class TestJsonWriter:
+    """An untraced corrected JSON run into a file writes from a forked
+    writer while this process searches; anything else writes in process."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two usable CPUs, and a list that gains an entry per forked writer."""
+        monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: 2)
+        calls = []
+        real = mincuts.cli._write_while_searching
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mincuts.cli, "_write_while_searching", spy)
+        return calls
+
+    @staticmethod
+    def _to_file(tmp_path, **fields):
+        config = RunConfig(str(FIXTURES / "grid3x4.edges"), output_format="json",
+                           emit_cuts=True, **fields)
+        path = tmp_path / "out.json"
+        with open(path, "w", encoding="utf-8") as out:
+            code = run(config, out=out, err=io.StringIO())
+        return code, path.read_text(encoding="utf-8"), config
+
+    def test_writes_the_in_process_bytes(self, tmp_path, forks):
+        with _leaves_nothing():
+            code, text, config = self._to_file(tmp_path, compare_oracle=True)
+        assert len(forks) == 1
+        assert (code, text) == _run(config)[:2]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(trace=True), dict(all_sinks=True), dict(algorithm="oracle"),
+         dict(algorithm="yeh-original", yeh_policy="goto-step4")],
+        ids=["trace", "all-sinks", "oracle", "yeh-original"],
+    )
+    def test_other_runs_write_in_process(self, tmp_path, forks, fields):
+        with _leaves_nothing():
+            code, text, config = self._to_file(tmp_path, **fields)
+        assert forks == []
+        assert (code, text) == _run(config)[:2]
+
+    def test_a_stream_without_a_file_descriptor_writes_in_process(self, forks):
+        # ``io.StringIO().fileno()`` raises io.UnsupportedOperation, a
+        # ValueError, which must not end the run as a usage error.
+        code, out, err = _run(RunConfig(str(FIXTURES / "fig1.edges"), output_format="json"))
+        assert (code, err) == (EXIT_OK, "")
+        assert forks == []
+        json.loads(out)
+
+    def test_one_cpu_writes_in_process(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: 1)
+        with _leaves_nothing():
+            code, _, _ = self._to_file(tmp_path)
+        assert (code, forks) == (EXIT_OK, [])
+
+    def test_writer_failure_raises_its_traceback(self, tmp_path, forks, monkeypatch):
+        def refuse(self, batch):
+            raise KeyError("no rows here")
+
+        monkeypatch.setattr(_RowFragments, "cuts", refuse)
+        with _leaves_nothing():
+            with pytest.raises(RuntimeError, match="JSON writer failed") as info:
+                self._to_file(tmp_path)
+        assert "Traceback" in str(info.value) and "no rows here" in str(info.value)
+
+    def test_writer_that_dies_is_reported(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(_RowFragments, "cuts", lambda self, batch: os._exit(3))
+        with _leaves_nothing():
+            with pytest.raises(RuntimeError, match="JSON writer exited early"):
+                self._to_file(tmp_path)
+
+    def test_failed_search_leaves_no_writer(self, tmp_path, forks, monkeypatch):
+        def failing(g, opts, on_batch):
+            on_batch([1 << g.source])
+            raise KeyError("search failed")
+
+        monkeypatch.setattr(mincuts.cli, "enumerate_mcvs", failing)
+        with _leaves_nothing():
+            with pytest.raises(KeyError, match="search failed"):
+                self._to_file(tmp_path)
+        assert len(forks) == 1
+
+
+def test_reader_that_leaves_early_ends_the_writer_quietly(tmp_path):
+    # ``| head -c 64`` under ``-X dev``, which shows unclosed files; two CPUs
+    # are given in the child, so its JSON comes from a forked writer.
+    path = tmp_path / "grid.edges"
+    path.write_text("".join(f"{a} {b}\n" for a, b in grid_graph_edges(4, 6)))
+    script = (
+        "import os, sys\n"
+        "import mincuts.corpus\n"
+        "mincuts.corpus._usable_cpus = lambda: 2\n"
+        "from mincuts.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    sys.exit(code)\n"
+        "sys.exit('a child is left')\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-c", script,
+         "run", str(path), "--format", "json", "--emit-cuts"],
+        env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(64)) == 64
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    with proc.stderr:
+        assert (code, proc.stderr.read()) == (EXIT_USAGE, b"")

@@ -405,6 +405,59 @@ class TestAnswerPath:
                 assert len(prefixes) == 1 + stats.records + stats.backtracks
 
 
+class TestOnBatch:
+    """The sets ``on_batch`` receives while the search runs."""
+
+    @staticmethod
+    def _run(g, opts=None):
+        batches = []
+        report = enumerate_mcvs(g, opts, on_batch=batches.append)
+        return report, batches
+
+    @pytest.mark.parametrize("size", [2, 5, 1024])
+    def test_batches_join_to_the_report(self, monkeypatch, size):
+        # Every order kind, both policies, traced or not, complete or cut
+        # short by a script that runs dry.
+        monkeypatch.setattr(mincuts.enumeration, "_BATCH", size)
+        g = build_graph(grid_graph_edges(3, 4), "s", "t")
+        for opts in _option_grid(g):
+            report, batches = self._run(g, opts)
+            assert [u for batch in batches for u in batch] == list(report.mcvs)
+            assert all(len(batch) == size for batch in batches[:-1])
+            assert 0 < len(batches[-1]) <= size
+            assert batches[0][0] == 1 << g.source
+
+    def test_no_empty_batch_when_the_sets_fill_the_last(self, monkeypatch, fig1):
+        monkeypatch.setattr(mincuts.enumeration, "_BATCH", 3)
+        report, batches = self._run(fig1)
+        assert len(report.mcvs) == 9
+        assert [list(batch) for batch in batches] == [list(report.mcvs[i:i + 3])
+                                                      for i in (0, 3, 6)]
+
+    def test_default_batches_on_a_grid(self):
+        g = build_graph(grid_graph_edges(3, 8), "s", "t")
+        report, batches = self._run(g)
+        rest = len(report.mcvs) - mincuts.enumeration._BATCH
+        assert 0 < rest <= mincuts.enumeration._BATCH
+        assert [len(batch) for batch in batches] == [mincuts.enumeration._BATCH, rest]
+        assert [u for batch in batches for u in batch] == list(report.mcvs)
+
+    @pytest.mark.parametrize("size", [2, 1024], ids=["in-the-loop", "after-the-loop"])
+    def test_an_exception_in_the_callback_reaches_the_caller(self, monkeypatch, fig1,
+                                                              size):
+        monkeypatch.setattr(mincuts.enumeration, "_BATCH", size)
+        calls = []
+
+        def refuse(batch):
+            calls.append(list(batch))
+            raise KeyError("stop")
+
+        with pytest.raises(KeyError, match="stop"):
+            enumerate_mcvs(fig1, on_batch=refuse)
+        assert len(calls) == 1
+        assert len(calls[0]) == min(size, 9)
+
+
 class TestConnectivityCheckCost:
     """Checks answered from proven failures run no BFS; the calls pin that.
 

@@ -18,7 +18,10 @@ the pruned labels were derived from the two graphs' labels, and the traced
 ``grid3x4`` cases (the corrected search, and the replica under
 ``goto-step4``; the only traced rows whose prefix and candidate sets span
 two bytes of node bits) before trace events kept their candidates as
-masks; any change to them is a change of the behaviour contract.
+masks; any change to them is a change of the behaviour contract. Each
+JSON case also runs into a real file, on one CPU and on two: there an
+untraced single-sink corrected run writes from a forked writer while the
+search runs, and must give the same bytes.
 
 Re-record (only for an intended output change) with
 ``PYTHONPATH=src python -m tests.test_golden``.
@@ -28,10 +31,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 from pathlib import Path
 
 import pytest
 
+import mincuts.cli
+import mincuts.corpus
 from mincuts.cli import main
 
 from .conftest import FIXTURES
@@ -113,6 +119,33 @@ def test_matches_golden_bytes(fixture, name, flags, exit_code, fmt):
     assert code == exit_code
     expected = _golden_path(fixture, name, fmt).read_bytes()
     assert out.encode() == expected
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["1-cpu", "2-cpus"])
+@pytest.mark.parametrize(
+    "fixture,name,flags,exit_code", CASES, ids=[f"{c[0]}-{c[1]}" for c in CASES]
+)
+def test_json_golden_bytes_through_a_file(tmp_path, monkeypatch, fixture, name, flags,
+                                          exit_code, cpus):
+    # A stream with a file descriptor lets an untraced single-sink corrected
+    # run fork its JSON writer when there are two CPUs; the goldens above
+    # write to StringIO, which has none.
+    monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: cpus)
+    forks = []
+    real = mincuts.cli._write_while_searching
+    monkeypatch.setattr(mincuts.cli, "_write_while_searching",
+                        lambda *args: forks.append(args) or real(*args))
+    argv = ["run", str(FIXTURES / f"{fixture}.edges"), *flags, *FORMATS["json"]]
+    path = tmp_path / "out.json"
+    with open(path, "w", encoding="utf-8") as out:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code == exit_code
+    assert path.read_bytes() == _golden_path(fixture, name, "json").read_bytes()
+    in_process = {"--trace", "--all-sinks", "--algorithm"} & set(flags)
+    assert len(forks) == (cpus > 1 and not in_process)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 if __name__ == "__main__":
