@@ -704,7 +704,7 @@ def _serve_json(
             answer = ("done", "")
         except BrokenPipeError as exc:
             answer = ("BrokenPipeError", str(exc))
-        except BaseException:
+        except Exception:
             import traceback
 
             answer = ("traceback", traceback.format_exc())
