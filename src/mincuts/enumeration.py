@@ -335,9 +335,8 @@ def enumerate_mcvs(
     # node descended into.
     saved: list[tuple[int, int, int, int, int]] = []
     found = [full ^ rest]  # the root prefix {s} is itself recorded
-    # ``found[:sent]`` went to ``on_batch``; the next batch is due at
-    # ``len(found) == due``, which without a callback never comes.
-    sent, due = 0, _BATCH if on_batch is not None else 0
+    batching = on_batch is not None
+    sent, due = 0, _BATCH  # ``found[:sent]`` went out; the next batch at ``due``
     checks = 0
     status = RunStatus.COMPLETED
     if tracing:
@@ -388,7 +387,7 @@ def enumerate_mcvs(
             if not near & (near - 1):
                 fails &= ~near if near else 0
             found.append(full ^ rest)
-            if len(found) == due:
+            if batching and len(found) == due:
                 on_batch(found[sent:])
                 sent, due = due, due + _BATCH
             if tracing:
@@ -403,7 +402,7 @@ def enumerate_mcvs(
 
     if tracing:
         trace.append(TraceEvent(TraceStep.STOP, path))
-    if on_batch is not None and sent < len(found):
+    if batching and sent < len(found):
         on_batch(found[sent:])
     # The loop's structure fixes the other counters (see ``RunStats``).
     records = len(found) - 1
