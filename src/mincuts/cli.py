@@ -22,9 +22,9 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, xor
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .corpus import RANDOM_ORDERS, CorpusSpec, _fork_slots, _kill_and_reap, run_corpus
+from .corpus import RANDOM_ORDERS, CorpusSpec, _children, _fork_slots, _receive, run_corpus
 from .enumeration import (
     _BATCH,
     B_POLICIES,
@@ -630,88 +630,43 @@ def _write_while_searching(run: _SinkRun, config: RunConfig, out: TextIO,
     The search hands the writer each batch of sets as one ``marshal``
     frame, and then the run's :func:`_tail`; the writer writes the ``cuts``
     rows of each batch as it comes in, and the rest of the document after
-    the tail. Once it has flushed ``out``, it answers with one frame. A
-    writer that met a closed pipe on ``out`` raises ``BrokenPipeError``
-    here, and any other failure of the writer a ``RuntimeError`` with its
-    traceback. The writer is killed and reaped before this returns or
-    raises.
+    the tail. Once it has flushed ``out`` and closed its frame pipe, so
+    that a search blocked on a frame it will not read fails at once, it
+    answers. The writer is one of ``corpus._children``: its failure is
+    raised here as it would be in process (a closed pipe on ``out`` as
+    ``BrokenPipeError``), and it is killed and reaped before this returns
+    or raises.
     """
     out.flush()
     err.flush()
     frames_read, frames_write = os.pipe()
-    answer_read, answer_write = os.pipe()
-    frames, answers = open(frames_write, "wb"), open(answer_read, "rb")
-    pids: list[int] = []
+    frames = open(frames_write, "wb")
 
     def send(frame) -> None:
         marshal.dump(frame, frames)
         frames.flush()
 
+    def serve(answer: Callable) -> None:
+        with open(frames_read, "rb") as stream:
+            canonical_json([run], config, out, map(marshal.load, repeat(stream)))
+            out.flush()
+        answer(None)
+
     try:
-        try:
-            pid = os.fork()
-            if pid == 0:
-                _serve_json(run, config, out, frames_read, answer_write, [frames, answers])
-            pids.append(pid)
-        finally:
-            os.close(frames_read)
-            os.close(answer_write)
-        try:
-            _search(run, on_batch=send)
-            send(_tail(run))
-        except BrokenPipeError:
-            pass  # the writer stopped reading; its answer says why
-        try:
-            kind, text = marshal.load(answers)
-        except EOFError:
-            raise RuntimeError("JSON writer exited early") from None
+        with _children(frames) as fork:
+            try:
+                answers = fork(serve)
+            finally:
+                os.close(frames_read)
+            try:
+                _search(run, on_batch=send)
+                send(_tail(run))
+            except BrokenPipeError:
+                pass  # the writer stopped reading; its answer says why
+            _receive(answers, "JSON writer")
     finally:
-        _kill_and_reap(pids)
-        answers.close()
         with contextlib.suppress(BrokenPipeError):  # a frame the writer never read
             frames.close()
-    if kind == "BrokenPipeError":
-        raise BrokenPipeError(text)
-    if kind == "traceback":
-        raise RuntimeError(f"JSON writer failed:\n{text}")
-
-
-def _serve_json(
-    run: _SinkRun,
-    config: RunConfig,
-    out: TextIO,
-    frames_fd: int,
-    answer_fd: int,
-    inherited: list[BinaryIO],
-) -> NoReturn:
-    """The forked writer's whole life: the JSON from the frames on
-    ``frames_fd``, then one ``(kind, text)`` answer on ``answer_fd``:
-    ``done``, ``BrokenPipeError`` or ``traceback``.
-
-    It closes the pipe ends it inherited, so a frame pipe that closes
-    early ends it, and its own frame pipe before it answers, so a search
-    blocked on a frame it will not read fails at once. It leaves through
-    ``os._exit``, so neither the buffers nor the exit hooks it inherited
-    run a second time.
-    """
-    try:
-        for stream in inherited:
-            stream.close()
-        try:
-            with open(frames_fd, "rb") as frames:
-                canonical_json([run], config, out, map(marshal.load, repeat(frames)))
-                out.flush()
-            answer = ("done", "")
-        except BrokenPipeError as exc:
-            answer = ("BrokenPipeError", str(exc))
-        except Exception:
-            import traceback
-
-            answer = ("traceback", traceback.format_exc())
-        with open(answer_fd, "wb") as stream:
-            marshal.dump(answer, stream)
-    finally:
-        os._exit(0)
 
 
 def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None) -> int:
@@ -886,10 +841,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             flush=True,
         )
         return EXIT_OK if result.all_agree else EXIT_MISMATCH
-    except BrokenPipeError:
-        # Stdout's reader is gone (``| head``): send what is still buffered
+    except OSError as exc:
+        # A write to stdout failed: its reader is gone (``| head``), which
+        # needs no message, or its disk is full. Send what is still buffered
         # to devnull, so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,12 +8,14 @@ the whole pipeline is reproducible from a single integer seed.
 
 from __future__ import annotations
 
+import contextlib
 import marshal
 import os
 import random
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
 
 from .enumeration import (
     B_POLICIES,
@@ -209,7 +211,8 @@ def run_corpus(
 
     The graphs run in forked workers, one per usable CPU, and in this
     process where there is one CPU, no ``os.fork`` or a second thread. The
-    lines, their order and the artifacts are the same either way, and no
+    lines, their order, the artifacts and the errors are the same either
+    way (a worker's other failures come back as ``RuntimeError``), and no
     worker outlives the call. After a failed write, other workers may
     have written the artifacts of some later graphs.
     """
@@ -316,16 +319,84 @@ def _fork_slots(limit: int) -> int:
     return min(_usable_cpus(), limit)
 
 
-def _kill_and_reap(pids: Sequence[int]) -> None:
-    """SIGKILL each forked child and wait for it, so none outlives its run."""
+@contextlib.contextmanager
+def _children(*inherited: BinaryIO) -> Iterator[Callable[[Callable], BinaryIO]]:
+    """``fork(body)`` for the block: forks a child that runs ``body(send)``
+    and returns the stream this process reads it from (see :func:`_receive`).
+
+    ``send(value)`` writes one ``marshal`` frame and flushes it; parent and
+    child are one interpreter, so they share the format. A child that fails
+    sends one error frame instead. It closes ``inherited`` and every read
+    end forked so far, its own included, so a write fails once its parent is
+    gone, and leaves through ``os._exit``, so neither the buffers nor the
+    exit hooks it inherited run twice. When the block ends, fails or is
+    closed, every child is killed and reaped and its stream closed.
+    """
     import signal
 
-    for pid in pids:
+    pids: list[int] = []
+    streams: list[BinaryIO] = []
+
+    def fork(body: Callable[[Callable], object]) -> BinaryIO:
+        read_fd, write_fd = os.pipe()
+        streams.append(open(read_fd, "rb"))
         try:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass  # already reaped, where SIGCHLD is ignored
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    for stream in (*inherited, *streams):
+                        stream.close()
+                    pipe = open(write_fd, "wb")
+
+                    def send(value, kind: str | None = None) -> None:
+                        marshal.dump((kind, value), pipe)
+                        pipe.flush()
+
+                    try:
+                        body(send)
+                    except (OSError, ValueError) as exc:
+                        send(exc.args, "OSError" if isinstance(exc, OSError) else "ValueError")
+                    except Exception:
+                        import traceback
+
+                        send(traceback.format_exc(), "traceback")
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+        finally:
+            os.close(write_fd)
+        return streams[-1]
+
+    try:
+        yield fork
+    finally:
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # already reaped, where SIGCHLD is ignored
+        for stream in streams:
+            stream.close()
+
+
+def _receive(stream: BinaryIO, who: str):
+    """The next value a child of :func:`_children` sent down ``stream``.
+
+    A child's ``ValueError`` or ``OSError`` is raised here as one with the
+    same args, as it would be in process (so EPIPE is a ``BrokenPipeError``);
+    any other failure as a ``RuntimeError`` with the child's traceback, and
+    a child that left without a frame as one that says so.
+    """
+    try:
+        kind, value = marshal.load(stream)
+    except EOFError:
+        raise RuntimeError(f"{who} exited early") from None
+    if kind is None:
+        return value
+    if kind == "traceback":
+        raise RuntimeError(f"{who} failed:\n{value}")
+    raise (OSError if kind == "OSError" else ValueError)(*value)
 
 
 def _in_workers(
@@ -335,75 +406,25 @@ def _in_workers(
 ) -> Iterator[tuple[str, bool]]:
     """``check`` of each entry, in entry order, run in forked workers.
 
-    Worker ``k`` checks entries ``k``, ``k + workers``, ... and writes each
-    result down its own pipe as one ``marshal`` frame, which carries any
-    ``str``, newlines and lone surrogates included; parent and workers are
-    one interpreter, so they share the format. The frames are read
+    Worker ``k`` checks entries ``k``, ``k + workers``, ... and sends each
+    result as one frame (see :func:`_children`). The frames are read
     round-robin, so each result is yielded as soon as it and those before
-    it are in. A worker's ``ValueError`` is raised here as one, any other
-    exception as ``RuntimeError`` with its traceback. Every worker is
-    killed and reaped when the generator ends, fails or is closed.
+    it are in. A worker's failure is raised here as :func:`_receive` says,
+    and every worker is killed and reaped when the generator ends, fails
+    or is closed.
     """
-    pids: list[int] = []
-    streams: list[BinaryIO] = []
-    try:
-        for k in range(workers):
-            read_fd, write_fd = os.pipe()
-            streams.append(open(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(check, entries[k::workers], write_fd, streams)
-                pids.append(pid)
-            finally:
-                os.close(write_fd)
+
+    def serve(mine: list[CorpusEntry], send: Callable) -> None:
+        for entry in mine:
+            send(check(entry))
+
+    with _children() as fork:
+        children = [
+            (fork(partial(serve, entries[k::workers])), f"corpus worker {k}")
+            for k in range(workers)
+        ]
         for i in range(len(entries)):
-            try:
-                text, kind = marshal.load(streams[i % workers])
-            except EOFError:
-                raise RuntimeError(f"corpus worker {i % workers} exited early") from None
-            if kind == "ValueError":
-                raise ValueError(text)
-            if kind == "traceback":
-                raise RuntimeError(f"corpus worker failed:\n{text}")
-            yield text, kind
-    finally:
-        _kill_and_reap(pids)
-        for stream in streams:
-            stream.close()
-
-
-def _serve(
-    check: Callable[[CorpusEntry], tuple[str, bool]],
-    entries: list[CorpusEntry],
-    fd: int,
-    inherited: list[BinaryIO],
-) -> NoReturn:
-    """A worker's whole life: a ``(line, mismatched)`` frame per entry, or
-    one ``(text, kind)`` error frame, ``kind`` naming the error.
-
-    It leaves through ``os._exit``, so neither the buffers nor the exit
-    hooks it inherited run a second time. It closes the read ends it
-    inherited, its own included, so a write fails once this process's
-    parent is gone.
-    """
-    try:
-        stream = open(fd, "wb")
-        for other in inherited:
-            other.close()
-        for entry in entries:
-            marshal.dump(check(entry), stream)
-            stream.flush()
-    except ValueError as exc:
-        marshal.dump((str(exc), "ValueError"), stream)
-        stream.flush()
-    except Exception:
-        import traceback
-
-        marshal.dump((traceback.format_exc(), "traceback"), stream)
-        stream.flush()
-    finally:
-        os._exit(0)
+            yield _receive(*children[i % workers])
 
 
 def _disagreement_check(opts: EnumerationOptions) -> Callable[[Graph], bool]:

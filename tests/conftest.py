@@ -6,6 +6,10 @@ definitions, independently of the implementation under test, and frozen.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -182,3 +186,19 @@ def reachable_labels(pairs, start: str) -> set[str]:
 
 def st_connected(pairs, source: str, sink: str) -> bool:
     return sink in reachable_labels(pairs, source)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _leaves_nothing():
+    """The block leaves no child process and warns of no unclosed file."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    _assert_no_child_left()

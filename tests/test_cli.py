@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import gc
+import errno
 import io
 import json
 import os
 import subprocess
 import sys
-import warnings
 from functools import reduce
 from operator import xor
 
@@ -50,6 +49,7 @@ from mincuts.cli import (
 
 from .conftest import (
     FIXTURES,
+    _leaves_nothing,
     as_frozen,
     FIG1_GOLDEN,
     grid_graph_edges,
@@ -1015,22 +1015,6 @@ def test_cli_run_imports_no_networkx():
     assert "mcvs (9):" in result.stdout
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextlib.contextmanager
-def _leaves_nothing():
-    """The block leaves no child process and warns of no unclosed file."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        yield
-        gc.collect()
-    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
-    _assert_no_child_left()
-
-
 class TestJsonWriter:
     """An untraced corrected JSON run into a file writes from a forked
     writer while this process searches; anything else writes in process."""
@@ -1100,6 +1084,22 @@ class TestJsonWriter:
                 self._to_file(tmp_path)
         assert "Traceback" in str(info.value) and "no rows here" in str(info.value)
 
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["1-cpu", "2-cpus"])
+    def test_writer_value_error_raises_as_in_process(self, tmp_path, forks, monkeypatch,
+                                                     cpus):
+        # Before: the forked writer's ValueError came back as RuntimeError.
+        monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: cpus)
+
+        def refuse(self, batch):
+            raise ValueError("no rows here", 7)
+
+        monkeypatch.setattr(_RowFragments, "cuts", refuse)
+        with _leaves_nothing():
+            with pytest.raises(ValueError) as info:
+                self._to_file(tmp_path)
+        assert (type(info.value), info.value.args) == (ValueError, ("no rows here", 7))
+        assert len(forks) == (cpus > 1)
+
     def test_writer_that_dies_is_reported(self, tmp_path, forks, monkeypatch):
         monkeypatch.setattr(_RowFragments, "cuts", lambda self, batch: os._exit(3))
         with _leaves_nothing():
@@ -1145,3 +1145,38 @@ def test_reader_that_leaves_early_ends_the_writer_quietly(tmp_path):
     code = proc.wait(timeout=60)
     with proc.stderr:
         assert (code, proc.stderr.read()) == (EXIT_USAGE, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "args, forks",
+    [
+        (["run", "FIG1", "--format", "json"], True),
+        (["run", "FIG1"], False),
+        (["run", "FIG1", "--format", "json", "--trace"], False),
+        (["corpus", "--count", "3"], False),
+    ],
+    ids=["json-writer", "text", "json-traced", "corpus"],
+)
+def test_full_stdout_exits_one_with_a_message(args, forks):
+    # Before: a traceback, of an OSError or of the writer's RuntimeError.
+    # Two CPUs are given in the child, so the untraced JSON comes from a
+    # forked writer and the corpus from two workers; the child adds 10 to
+    # its exit code for each forked writer.
+    script = (
+        "import sys\n"
+        "import mincuts.cli, mincuts.corpus\n"
+        "mincuts.corpus._usable_cpus = lambda: 2\n"
+        "forks = []\n"
+        "real = mincuts.cli._write_while_searching\n"
+        "mincuts.cli._write_while_searching = lambda *a: forks.append(a) or real(*a)\n"
+        "sys.exit(mincuts.cli.main(sys.argv[1:]) + 10 * len(forks))\n"
+    )
+    argv = [str(FIXTURES / "fig1.edges") if x == "FIG1" else x for x in args]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", script, *argv],
+            env=_cli_env(), stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert proc.returncode == EXIT_USAGE + 10 * forks, proc.stderr
+    assert proc.stderr == f"error: {os.strerror(errno.ENOSPC)}\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import io
 import os
@@ -25,7 +26,14 @@ from mincuts.corpus import (
 from mincuts.enumeration import EnumerationOptions, enumerate_mcvs
 from mincuts.oracle import brute_force_mcvs
 
-from .conftest import APPENDAGE_EDGES, FIG1_EDGES, K23_EDGES, reachable_labels
+from .conftest import (
+    APPENDAGE_EDGES,
+    FIG1_EDGES,
+    K23_EDGES,
+    _assert_no_child_left,
+    _leaves_nothing,
+    reachable_labels,
+)
 
 
 class TestSpecValidation:
@@ -186,11 +194,6 @@ class TestRunner:
         assert len(printed) == 3
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.fixture(params=[1, 3], ids=["1-cpu", "3-cpus"])
 def cpus(request, monkeypatch):
     """The CPU count the runner sees: 1 runs in this process, 3 forks."""
@@ -244,6 +247,23 @@ class TestWorkers:
         if caught is RuntimeError:
             assert "Traceback" in str(info.value)
         _assert_no_child_left()
+
+    def test_os_error_in_a_graph_raises_as_in_process(self, cpus, monkeypatch):
+        # A worker's OSError comes back as the same type with the same
+        # args, as the CLI's handler for a failed write expects.
+        check = mincuts.corpus._check_graph
+
+        def refused(entry, *args):
+            if entry.index == 4:
+                raise PermissionError(errno.EACCES, "graph 4 refused")
+            return check(entry, *args)
+
+        monkeypatch.setattr(mincuts.corpus, "_check_graph", refused)
+        with _leaves_nothing():
+            with pytest.raises(OSError) as info:
+                self._run(None)
+        assert type(info.value) is PermissionError
+        assert info.value.args == (errno.EACCES, "graph 4 refused")
 
     def test_second_thread_keeps_the_run_in_process(self, monkeypatch):
         # A forked child would hold only the forking thread.

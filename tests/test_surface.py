@@ -132,3 +132,21 @@ def test_oracle_shares_no_engine_helpers():
     assert {
         name for module, name in imported if module == "mincuts.enumeration"
     } == {"EnumerationReport"}
+
+
+
+def test_forked_child_protocol_is_written_once():
+    # The corpus workers and the JSON writer fork through one helper, so
+    # the pipe, the frames, the error rule and the cleanup have one copy.
+    calls = []
+    for path in sorted((ROOT / "src" / "mincuts").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert "os" not in {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        calls += [
+            (path.name, getattr(top, "name", None), ast.unparse(node.func))
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("os.fork", "os._exit")
+        ]
+    assert sorted(calls) == [("corpus.py", "_children", "os._exit"),
+                             ("corpus.py", "_children", "os.fork")]
