@@ -14,7 +14,6 @@ import contextlib
 import json
 import marshal
 import os
-import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
@@ -24,7 +23,7 @@ from operator import add, xor
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from .corpus import RANDOM_ORDERS, CorpusSpec, _children, _fork_slots, _receive, run_corpus
+from .corpus import CorpusSpec, _SettingError, _children, _fork_slots, _receive, run_corpus
 from .enumeration import (
     _BATCH,
     B_POLICIES,
@@ -60,7 +59,7 @@ _STATUS_EXIT = {
 
 ALGORITHMS = ("corrected", "yeh-original", "oracle")
 FORMATS = ("text", "json")
-# The ``corpus`` flag behind each library field its errors name.
+# The ``corpus`` flag behind each library field a ``_SettingError`` names.
 _CORPUS_FLAGS = {
     "graph_count": "--count",
     "min_nodes": "--min-nodes",
@@ -495,20 +494,23 @@ class _RowFragments:
         )
 
 
+# Rows per JSON chunk: a 1,024-row batch joined whole would cross glibc's
+# mmap threshold, and each chunk would take fresh pages.
+_JOIN_ROWS = 128
+
+
 def _json_array(batches: Iterable[list[str]], level: int) -> Iterator[str]:
     """A JSON array at nesting ``level`` of rows rendered a level deeper,
-    given in non-empty lists and yielded as one chunk per list, each row
-    with the separator in front of it. Only the chunk outlives the join,
-    so the rows of a batch are held twice at most."""
+    given in non-empty lists and yielded in chunks of at most ``_JOIN_ROWS``
+    rows, each row with the separator in front of it."""
     pad = _indent(level + 1)
     sep = "," + pad
     lead, closer = "[" + pad, "[]"
     for rows in batches:
-        rows[0] = lead + rows[0]
-        chunk = sep.join(rows)
-        del rows
-        yield chunk
-        lead, closer = sep, _indent(level) + "]"
+        for i in range(0, len(rows), _JOIN_ROWS):
+            rows[i] = lead + rows[i]
+            yield sep.join(rows[i:i + _JOIN_ROWS])
+            lead, closer = sep, _indent(level) + "]"
     yield closer
 
 
@@ -788,10 +790,10 @@ def _build_parser() -> _Parser:
     p_corpus.add_argument(
         "--prune", action=argparse.BooleanOptionalAction, default=CorpusSpec.prune
     )
-    p_corpus.add_argument("--random-orders", type=int, default=RANDOM_ORDERS)
+    p_corpus.add_argument("--random-orders", type=int, default=CorpusSpec.random_orders)
     p_corpus.add_argument(
         "--b-policies",
-        default=",".join(B_POLICIES),
+        default=",".join(CorpusSpec.b_policies),
         help=f"comma-separated subset of: {','.join(B_POLICIES)}",
     )
     p_corpus.add_argument(
@@ -809,32 +811,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = run(RunConfig(**vars(ns)))
             sys.stdout.flush()  # a reader that left early fails here, not at exit
             return code
-        policies = tuple(x for x in ns.b_policies.split(",") if x)
-        try:
-            spec = CorpusSpec(
-                graph_count=ns.count,
-                min_nodes=ns.min_nodes,
-                max_nodes=ns.max_nodes,
-                edge_probability=ns.edge_prob,
-                seed=ns.seed,
-                prune=ns.prune,
-            )
-            result = run_corpus(
-                spec,
-                b_policies=policies,
-                random_orders=ns.random_orders,
-                out_dir=ns.out_dir,
-                out=sys.stdout,
-            )
-        except ValueError as exc:
-            # Name flags for fields, but keep the user's own words as they
-            # are: a b-policy, quoted, and the artifact paths under out_dir.
-            own = [repr(p) for p in policies]
-            if ns.out_dir is not None:
-                own.append(os.path.join(Path(ns.out_dir), ""))
-            words = "|".join(map(re.escape, [*own, *_CORPUS_FLAGS]))
-            message = re.sub(words, lambda m: _CORPUS_FLAGS.get(m[0], m[0]), str(exc))
-            raise UsageError(message) from None
+        spec = CorpusSpec(
+            graph_count=ns.count,
+            min_nodes=ns.min_nodes,
+            max_nodes=ns.max_nodes,
+            edge_probability=ns.edge_prob,
+            seed=ns.seed,
+            prune=ns.prune,
+            b_policies=tuple(x for x in ns.b_policies.split(",") if x),
+            random_orders=ns.random_orders,
+        )
+        result = run_corpus(spec, out_dir=ns.out_dir, out=sys.stdout)
         print(
             f"# {result.graphs} graphs, {result.mismatches} mismatch(es)",
             file=sys.stdout,
@@ -850,7 +837,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, _SettingError):  # it names fields, not the user's words
+            for field, flag in _CORPUS_FLAGS.items():
+                message = message.replace(field, flag)
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -14,8 +14,9 @@ import os
 import random
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterator, TextIO
 
 from .enumeration import (
     B_POLICIES,
@@ -37,17 +38,22 @@ __all__ = [
 ]
 
 MAX_CORPUS_NODES = 12
-# Seeded random orders per graph and b-policy, besides the ascending one.
-RANDOM_ORDERS = 3
 # Draws per graph before the generator gives up on an edge probability too
 # low to make connected graphs; the default corpus needs at most about 20.
 MAX_GRAPH_DRAWS = 10_000
 
 
+class _SettingError(ValueError):
+    """A bad corpus setting, in a message that holds nothing the caller
+    typed, so a front end may rename the fields it names."""
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Parameters of a reproducible corpus of connected random graphs; the
-    defaults are the ``corpus`` command's."""
+    """One corpus run: its reproducible connected random graphs, and how each
+    is checked: under every policy in ``b_policies``, with the ascending
+    order and then ``random_orders`` seeded random orders. The defaults are
+    the ``corpus`` command's; a bad setting raises ``ValueError`` here."""
 
     graph_count: int = 1000
     min_nodes: int = 4
@@ -55,17 +61,29 @@ class CorpusSpec:
     edge_probability: float = 0.35
     seed: int = 42
     prune: bool = True
+    b_policies: tuple[str, ...] = B_POLICIES
+    random_orders: int = 3
 
     def __post_init__(self) -> None:
         if self.graph_count < 1:
-            raise ValueError("graph_count must be positive")
+            raise _SettingError("graph_count must be positive")
         if not 2 <= self.min_nodes <= self.max_nodes <= MAX_CORPUS_NODES:
-            raise ValueError(
+            raise _SettingError(
                 "node range must satisfy 2 <= min_nodes <= max_nodes <= "
                 f"{MAX_CORPUS_NODES}"
             )
         if not 0.0 < self.edge_probability <= 1.0:
-            raise ValueError("edge_probability must be in (0, 1]")
+            raise _SettingError("edge_probability must be in (0, 1]")
+        if not self.b_policies:
+            raise ValueError("no b-policy given")
+        if self.random_orders < 0:
+            raise _SettingError(
+                f"random_orders must be non-negative, got {self.random_orders}"
+            )
+        for i, policy in enumerate(self.b_policies):
+            EnumerationOptions(b_policy=policy)  # raises on an unknown policy
+            if policy in self.b_policies[:i]:
+                raise ValueError(f"b-policy {policy!r} given twice")
 
 
 @dataclass(frozen=True)
@@ -96,7 +114,7 @@ def _random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
         if edges and _connected_mask(tuple(adj), (1 << n) - 1):
             break
     else:
-        raise ValueError(
+        raise _SettingError(
             f"no connected {n}-node graph in {MAX_GRAPH_DRAWS} draws at "
             f"edge_probability {p}; raise edge_probability"
         )
@@ -191,23 +209,20 @@ class CorpusRunResult:
 def run_corpus(
     spec: CorpusSpec,
     *,
-    b_policies: Sequence[str] = B_POLICIES,
-    random_orders: int = RANDOM_ORDERS,
     out_dir: str | Path | None = None,
     out: TextIO | None = None,
 ) -> CorpusRunResult:
     """Differential run: every corpus graph, oracle vs. enumeration.
 
-    Each graph is enumerated once per (policy, order) combination — the
-    ascending order plus ``random_orders`` seeded random orders — and
-    compared to the brute-force oracle as a set. One line per graph goes to
-    ``out``: index, seed, node and edge counts, agree/mismatch, and, when a
-    mismatch was shrunk to an artifact, the file it was written to
-    (requires ``out_dir``). Artifacts are edge-list files replayable with
-    the same policy and order that exposed the disagreement. An empty,
-    unknown or repeated ``b_policies``, a negative ``random_orders`` or an
-    unusable ``out_dir`` raises ``ValueError`` before any graph runs, and
-    an artifact that cannot be written raises it when its graph does.
+    Each graph is enumerated once per (policy, order) combination of
+    ``spec`` and compared to the brute-force oracle as a set. One line per
+    graph goes to ``out``: index, seed, node and edge counts,
+    agree/mismatch, and, when a mismatch was shrunk to an artifact, the
+    file it was written to (requires ``out_dir``). Artifacts are edge-list
+    files replayable with the same policy and order that exposed the
+    disagreement. An unusable ``out_dir`` raises ``ValueError`` before any
+    graph runs, and an artifact that cannot be written raises it when its
+    graph does.
 
     The graphs run in forked workers, one per usable CPU, and in this
     process where there is one CPU, no ``os.fork`` or a second thread. The
@@ -216,25 +231,17 @@ def run_corpus(
     worker outlives the call. After a failed write, other workers may
     have written the artifacts of some later graphs.
     """
-    if not b_policies:
-        raise ValueError("no b-policy given")
-    if random_orders < 0:
-        raise ValueError(f"random_orders must be non-negative, got {random_orders}")
-    for i, policy in enumerate(b_policies):
-        EnumerationOptions(b_policy=policy)  # raises on an unknown policy
-        if policy in b_policies[:i]:
-            raise ValueError(f"b-policy {policy!r} given twice")
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         try:
             out_path.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise ValueError(f"cannot create out_dir: {exc.strerror}") from None
+            raise _SettingError(f"cannot create out_dir: {exc.strerror}") from None
 
     entries = corpus_entries(spec)
 
     def check(entry: CorpusEntry) -> tuple[str, bool]:
-        return _check_graph(entry, b_policies, random_orders, out_path)
+        return _check_graph(entry, spec, out_path)
 
     workers = _fork_slots(len(entries))
     if workers > 1:
@@ -255,27 +262,25 @@ def run_corpus(
 
 
 def _check_graph(
-    entry: CorpusEntry,
-    b_policies: Sequence[str],
-    random_orders: int,
-    out_path: Path | None,
+    entry: CorpusEntry, spec: CorpusSpec, out_path: Path | None
 ) -> tuple[str, bool]:
     """One graph against the oracle: its report line and whether it is a
     mismatch, shrunk and written under ``out_path`` when that is given."""
     g = entry.graph
     oracle_sets = brute_force_mcvs(g).mcvs
-    failing: EnumerationOptions | None = None
-    orders = [AscendingOrder()] + [
-        RandomOrder(seed=entry.seed * 100 + j) for j in range(random_orders)
-    ]
-    for policy in b_policies:
-        for order in orders:
-            opts = EnumerationOptions(selection_order=order, b_policy=policy)
-            if frozenset(enumerate_mcvs(g, opts).mcvs) != oracle_sets:
-                failing = opts
-                break
-        if failing is not None:
-            break
+    # Each run's options are built as it starts: no list of orders is held.
+    first = entry.seed * 100
+    runs = (
+        EnumerationOptions(selection_order=order, b_policy=policy)
+        for policy in spec.b_policies
+        for order in chain(
+            [AscendingOrder()], map(RandomOrder, range(first, first + spec.random_orders))
+        )
+    )
+    failing = next(
+        (opts for opts in runs if frozenset(enumerate_mcvs(g, opts).mcvs) != oracle_sets),
+        None,
+    )
 
     line = (
         f"graph={entry.index} seed={entry.seed} "

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -209,7 +210,7 @@ def test_criterion_3_replica_defect_rates(transfer):
 def _oracle_equivalence(b_policy: str) -> tuple[int, float]:
     """Corpus mismatches and seconds; one run per policy serves every test."""
     started = time.perf_counter()
-    result = run_corpus(CORPUS, b_policies=(b_policy,), random_orders=3)
+    result = run_corpus(replace(CORPUS, b_policies=(b_policy,), random_orders=3))
     return result.mismatches, time.perf_counter() - started
 
 

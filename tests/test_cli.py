@@ -40,8 +40,11 @@ from mincuts.cli import (
     EXIT_USAGE,
     ParseError,
     RunConfig,
+    _CORPUS_FLAGS,
     _ByteTable,
     _RowFragments,
+    _indent,
+    _json_array,
     main,
     parse_edge_list,
     run,
@@ -925,12 +928,13 @@ class TestMain:
 
     def test_corpus_errors_keep_a_path_that_names_a_field(self, tmp_path, capsys):
         # Before: ``error: cannot write .../--out-dir/counterexample-0003.edges``.
-        out_dir = tmp_path / "out_dir"
-        taken = out_dir / "counterexample-0003.edges"
-        taken.mkdir(parents=True)
-        code = main(["corpus", "--count", "20", "--seed", "42", "--out-dir", str(out_dir)])
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: cannot write {taken}: Is a directory\n"
+        for name in ("out_dir", " ".join(_CORPUS_FLAGS)):
+            out_dir = tmp_path / name
+            taken = out_dir / "counterexample-0003.edges"
+            taken.mkdir(parents=True)
+            code = main(["corpus", "--count", "20", "--seed", "42", "--out-dir", str(out_dir)])
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: cannot write {taken}: Is a directory\n"
         # The library's own word is still renamed when the path is that word.
         file = tmp_path / "sub" / "out_dir"
         file.parent.mkdir()
@@ -941,11 +945,12 @@ class TestMain:
 
     def test_corpus_errors_keep_a_b_policy_that_names_a_field(self, capsys):
         # Before: ``error: unknown b-policy '--min-nodes'``.
-        code = main(["corpus", "--count", "3", "--seed", "1", "--b-policies", "min_nodes"])
-        captured = capsys.readouterr()
-        assert code == EXIT_USAGE
-        assert "graph=" not in captured.out
-        assert captured.err == "error: unknown b-policy 'min_nodes'\n"
+        for policy in ("min_nodes", " ".join(_CORPUS_FLAGS)):
+            code = main(["corpus", "--count", "3", "--seed", "1", "--b-policies", policy])
+            captured = capsys.readouterr()
+            assert code == EXIT_USAGE
+            assert "graph=" not in captured.out
+            assert captured.err == f"error: unknown b-policy {policy!r}\n"
 
     def test_usage_error_exit_one(self, capsys):
         code = main(["run", str(FIXTURES / "fig1.edges"), "--algorithm", "nonsense"])
@@ -1013,6 +1018,16 @@ def test_cli_run_imports_no_networkx():
     )
     assert result.returncode == 0, result.stderr
     assert "mcvs (9):" in result.stdout
+
+
+def test_json_array_joins_a_batch_in_small_chunks():
+    # Before: a 1,024-row batch came out as one chunk, about 0.6 MB of cut
+    # rows, over glibc's mmap threshold.
+    rows = [f'"row {i}"' for i in range(1024)]
+    chunks = list(_json_array([list(rows)], 1))
+    assert max(chunk.count('"row ') for chunk in chunks) <= 128
+    pad = _indent(2)
+    assert "".join(chunks) == "[" + pad + ("," + pad).join(rows) + _indent(1) + "]"
 
 
 class TestJsonWriter:

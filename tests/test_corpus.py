@@ -11,6 +11,7 @@ import re
 import shutil
 import threading
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,7 @@ from mincuts.corpus import (
     run_corpus,
     shrink_counterexample,
 )
-from mincuts.enumeration import EnumerationOptions, enumerate_mcvs
+from mincuts.enumeration import EnumerationOptions, RandomOrder, enumerate_mcvs
 from mincuts.oracle import brute_force_mcvs
 
 from .conftest import (
@@ -48,6 +49,26 @@ class TestSpecValidation:
             CorpusSpec(graph_count=1, edge_probability=0.0)
         with pytest.raises(ValueError):
             CorpusSpec(graph_count=1, edge_probability=1.5)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"b_policies": ()}, "no b-policy given"),
+            ({"b_policies": ("scoped", "scoped")}, "b-policy 'scoped' given twice"),
+            ({"b_policies": ("bogus",)}, "unknown b-policy 'bogus'"),
+            ({"random_orders": -1}, "random_orders must be non-negative, got -1"),
+        ],
+        ids=["no-policy", "repeated-policy", "unknown-policy", "random-orders"],
+    )
+    def test_checks_every_setting(self, setting, message):
+        # Only a message free of the caller's words is a setting error,
+        # whose field names the CLI renames to flags.
+        with pytest.raises(ValueError) as info:
+            CorpusSpec(**setting)
+        assert str(info.value) == message
+        assert isinstance(info.value, mincuts.corpus._SettingError) == (
+            "random_orders" in setting
+        )
 
 
 class TestGeneration:
@@ -134,7 +155,7 @@ class TestShrinker:
 class TestRunner:
     def test_agreeing_corpus_reports_clean_lines(self):
         spec = CorpusSpec(graph_count=20, min_nodes=4, max_nodes=7, seed=6)
-        result = run_corpus(spec, b_policies=("scoped",), random_orders=2)
+        result = run_corpus(replace(spec, b_policies=("scoped",), random_orders=2))
         assert result.all_agree
         assert result.graphs == 20
         assert len(result.lines) == 20
@@ -148,7 +169,7 @@ class TestRunner:
         # still-failing artifact.
         spec = CorpusSpec(graph_count=7, min_nodes=4, max_nodes=10, seed=42)
         result = run_corpus(
-            spec, b_policies=("persistent",), random_orders=3, out_dir=tmp_path
+            replace(spec, b_policies=("persistent",), random_orders=3), out_dir=tmp_path
         )
         assert not result.all_agree
         mismatch_lines = [l for l in result.lines if "status=mismatch" in l]
@@ -163,7 +184,7 @@ class TestRunner:
 
     def test_scoped_policy_clean_on_known_persistent_trap(self):
         spec = CorpusSpec(graph_count=7, min_nodes=4, max_nodes=10, seed=42)
-        result = run_corpus(spec, b_policies=("scoped",), random_orders=3)
+        result = run_corpus(replace(spec, b_policies=("scoped",), random_orders=3))
         assert result.all_agree
 
     def test_unpruned_corpus_surfaces_relevance_gap(self, tmp_path):
@@ -174,7 +195,7 @@ class TestRunner:
             graph_count=30, min_nodes=4, max_nodes=7, seed=4242, prune=False
         )
         result = run_corpus(
-            spec, b_policies=("scoped",), random_orders=1, out_dir=tmp_path
+            replace(spec, b_policies=("scoped",), random_orders=1), out_dir=tmp_path
         )
         assert not result.all_agree
         artifacts = sorted(tmp_path.glob("counterexample-*.edges"))
@@ -185,11 +206,33 @@ class TestRunner:
         )
         assert smallest <= 4
 
+    def test_orders_are_built_as_they_run(self, monkeypatch):
+        # Before: a graph built all of its 1 + random_orders orders before
+        # its first run, so a huge --random-orders grew memory until killed.
+        monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: 1)
+        built: list[int] = []
+        built_at_run: list[int] = []
+
+        def counting_order(seed):
+            built.append(seed)
+            return RandomOrder(seed)
+
+        def counting_search(g, opts):
+            built_at_run.append(len(built))
+            return enumerate_mcvs(g, opts)
+
+        monkeypatch.setattr(mincuts.corpus, "RandomOrder", counting_order)
+        monkeypatch.setattr(mincuts.corpus, "enumerate_mcvs", counting_search)
+        spec = CorpusSpec(graph_count=1, b_policies=("scoped",), random_orders=50)
+        assert run_corpus(spec).all_agree
+        assert built_at_run[0] <= 1
+        assert len(built_at_run) == 51 and len(built) == 50
+
     def test_lines_go_to_stream(self, capsys):
         import sys
 
         spec = CorpusSpec(graph_count=3, min_nodes=4, max_nodes=5, seed=6)
-        run_corpus(spec, b_policies=("scoped",), random_orders=1, out=sys.stdout)
+        run_corpus(replace(spec, b_policies=("scoped",), random_orders=1), out=sys.stdout)
         printed = capsys.readouterr().out.strip().splitlines()
         assert len(printed) == 3
 
@@ -206,7 +249,7 @@ class TestWorkers:
 
     def _run(self, out_dir, **kwargs):
         spec = CorpusSpec(graph_count=40, seed=42)
-        return run_corpus(spec, random_orders=2, out_dir=out_dir, **kwargs)
+        return run_corpus(replace(spec, random_orders=2), out_dir=out_dir, **kwargs)
 
     def test_lines_and_artifacts_match_across_cpu_counts(self, tmp_path, monkeypatch):
         runs = []
@@ -311,7 +354,7 @@ class TestWorkers:
     def test_artifact_path_with_a_newline_survives(self, cpus, tmp_path):
         out_dir = tmp_path / "two\nlines"
         result = run_corpus(
-            CorpusSpec(graph_count=7, seed=42), random_orders=1, out_dir=out_dir
+            replace(CorpusSpec(graph_count=7, seed=42), random_orders=1), out_dir=out_dir
         )
         shrunk = [l for l in result.lines if "counterexample=" in l]
         assert shrunk and all(f"counterexample={out_dir}/" in l for l in shrunk)

@@ -12,11 +12,13 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import mincuts
+import mincuts.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -150,3 +152,15 @@ def test_forked_child_protocol_is_written_once():
         ]
     assert sorted(calls) == [("corpus.py", "_children", "os._exit"),
                              ("corpus.py", "_children", "os.fork")]
+
+
+def test_corpus_flag_defaults_are_the_spec_defaults():
+    # README says that CorpusSpec holds the corpus flags' defaults. Before,
+    # --random-orders and --b-policies took theirs from elsewhere.
+    flags = vars(mincuts.cli._build_parser().parse_args(["corpus"]))
+    del flags["command"], flags["out_dir"]
+    flags["b_policies"] = tuple(flags["b_policies"].split(","))
+    renamed = {"count": "graph_count", "edge_prob": "edge_probability"}
+    defaults = {renamed.get(dest, dest): value for dest, value in flags.items()}
+    spec = mincuts.CorpusSpec()
+    assert defaults == {f.name: getattr(spec, f.name) for f in fields(spec)}
