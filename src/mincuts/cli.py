@@ -10,14 +10,11 @@ oracle-comparison mismatch, 3 step limit exceeded.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import marshal
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, xor
 from pathlib import Path
@@ -82,9 +79,11 @@ class UsageError(ValueError):
 
 def parse_edge_list(text: str) -> list[tuple[str, str]]:
     """Parse edge-list text: one edge per line, two whitespace-separated
-    labels; blank lines and lines starting with ``#`` are ignored."""
+    labels; blank lines and lines starting with ``#`` are ignored. Lines
+    end at ``\n``, ``\r\n`` or ``\r``, as a file's do in text mode."""
     pairs: list[tuple[str, str]] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -333,15 +332,15 @@ def _render_text(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
 
 def _tail(run: _SinkRun) -> dict:
     """A searched run's last frame: the values of its ``stats`` and
-    ``status`` keys, and as ``diff`` the missing, spurious and invalid
-    masks of its oracle comparison (None without one)."""
+    ``status`` keys, as ``diff`` the missing, spurious and invalid masks of
+    its oracle comparison (None without one), and its ``exit_code``."""
     if run.report is None:
         stats, status = {"subsets_scanned": 1 << (run.graph.node_count - 2)}, "completed"
     else:
         stats, status = asdict(run.report.stats), run.report.status.value
     c = run.comparison
     masks = None if c is None else (c.missing, c.spurious, c.invalid)
-    return {"stats": stats, "status": status, "diff": masks}
+    return {"stats": stats, "status": status, "diff": masks, "exit_code": run.exit_code}
 
 
 def _options_json(config: RunConfig) -> dict:
@@ -595,8 +594,8 @@ def canonical_json(
     ``json.loads`` of the output reproduces it byte for byte. Rows are
     rendered and written a batch at a time, so neither the row lists nor
     the document are ever held whole. ``frames`` stands in for the single
-    run's search, when that runs in another process while this writes (see
-    :func:`_write_while_searching`).
+    run's search, when a forked child runs it while this process writes
+    (see :func:`_write_while_searching`).
     """
     if config.all_sinks:
         out.write('{\n  "runs": [')
@@ -609,66 +608,42 @@ def canonical_json(
         out.write("\n")
 
 
-def _forks_writer(config: RunConfig, out: TextIO) -> bool:
-    """Whether a JSON writer may be forked to write ``out`` while the search
-    runs: one corrected search, untraced, into a stream with a file
-    descriptor, in a process that may fork (see ``corpus._fork_slots``)."""
+def _forks_search(config: RunConfig) -> bool:
+    """Whether the search may run in a forked child while this process
+    writes its JSON: one corrected search, untraced, in a process that may
+    fork (see ``corpus._fork_slots``)."""
     if (config.output_format, config.algorithm) != ("json", "corrected"):
         return False
-    if config.trace or config.all_sinks:
-        return False
-    try:
-        out.fileno()
-    except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
-        return False
-    return _fork_slots(2) > 1
+    return not (config.trace or config.all_sinks) and _fork_slots(2) > 1
 
 
-def _write_while_searching(run: _SinkRun, config: RunConfig, out: TextIO,
-                           err: TextIO) -> None:
-    """Search ``run`` here while a forked writer writes its canonical JSON
-    to ``out``.
+def _write_while_searching(run: _SinkRun, config: RunConfig, out: TextIO) -> None:
+    """Write ``run``'s canonical JSON to ``out`` while a forked child
+    searches it.
 
-    The search hands the writer each batch of sets as one ``marshal``
-    frame, and then the run's :func:`_tail`; the writer writes the ``cuts``
-    rows of each batch as it comes in, and the rest of the document after
-    the tail. Once it has flushed ``out`` and closed its frame pipe, so
-    that a search blocked on a frame it will not read fails at once, it
-    answers. The writer is one of ``corpus._children``: its failure is
-    raised here as it would be in process (a closed pipe on ``out`` as
-    ``BrokenPipeError``), and it is killed and reaped before this returns
-    or raises.
+    The child is one of ``corpus._children``, like a corpus worker: it
+    sends each batch of sets as one frame as the search records it, and
+    then the run's :func:`_tail`. This process writes the ``cuts`` rows of
+    each batch as it comes in, the rest of the document after the tail,
+    and takes the run's exit code from the tail. A failure of the search is
+    raised here as ``corpus._receive`` says, a failure to write as itself,
+    and the child is killed and reaped before this returns or raises.
     """
-    out.flush()
-    err.flush()
-    frames_read, frames_write = os.pipe()
-    frames = open(frames_write, "wb")
 
-    def send(frame) -> None:
-        marshal.dump(frame, frames)
-        frames.flush()
+    def search(send: Callable) -> None:
+        _search(run, on_batch=send)
+        send(_tail(run))
 
-    def serve(answer: Callable) -> None:
-        with open(frames_read, "rb") as stream:
-            canonical_json([run], config, out, map(marshal.load, repeat(stream)))
-            out.flush()
-        answer(None)
+    with _children() as fork:
+        stream = fork(search)
 
-    try:
-        with _children(frames) as fork:
-            try:
-                answers = fork(serve)
-            finally:
-                os.close(frames_read)
-            try:
-                _search(run, on_batch=send)
-                send(_tail(run))
-            except BrokenPipeError:
-                pass  # the writer stopped reading; its answer says why
-            _receive(answers, "JSON writer")
-    finally:
-        with contextlib.suppress(BrokenPipeError):  # a frame the writer never read
-            frames.close()
+        def frames() -> Iterator:
+            while not isinstance(frame := _receive(stream, "forked search"), dict):
+                yield frame
+            run.exit_code = frame["exit_code"]
+            yield frame
+
+        canonical_json([run], config, out, frames())
 
 
 def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None) -> int:
@@ -708,17 +683,16 @@ def run(config: RunConfig, out: TextIO | None = None, err: TextIO | None = None)
         if len(pairs) > g.edge_count:  # self-loops are rejected, so these are merged parallels
             print(f"warning: merged {len(pairs) - g.edge_count} parallel edge(s)", file=err)
         runs = [_prepare(replace(g, sink=g.index_of(x)), config, err) for x in sinks]
-        forked = _forks_writer(config, out)
-        if not forked:
-            for r in runs:
-                _search(r)
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
 
-    if forked:
-        _write_while_searching(runs[0], config, out, err)
-    elif config.output_format == "json":
+    if _forks_search(config):
+        _write_while_searching(runs[0], config, out)
+        return runs[0].exit_code
+    for r in runs:
+        _search(r)
+    if config.output_format == "json":
         canonical_json(runs, config, out)
     else:
         for i, r in enumerate(runs):

@@ -325,17 +325,18 @@ def _fork_slots(limit: int) -> int:
 
 
 @contextlib.contextmanager
-def _children(*inherited: BinaryIO) -> Iterator[Callable[[Callable], BinaryIO]]:
+def _children() -> Iterator[Callable[[Callable], BinaryIO]]:
     """``fork(body)`` for the block: forks a child that runs ``body(send)``
     and returns the stream this process reads it from (see :func:`_receive`).
 
     ``send(value)`` writes one ``marshal`` frame and flushes it; parent and
     child are one interpreter, so they share the format. A child that fails
-    sends one error frame instead. It closes ``inherited`` and every read
-    end forked so far, its own included, so a write fails once its parent is
-    gone, and leaves through ``os._exit``, so neither the buffers nor the
-    exit hooks it inherited run twice. When the block ends, fails or is
-    closed, every child is killed and reaped and its stream closed.
+    sends one error frame instead. A child writes nothing but its frames:
+    the parent writes all output. It closes every read end forked so far,
+    its own included, so a write fails once its parent is gone, and leaves
+    through ``os._exit``, so neither the buffers nor the exit hooks it
+    inherited run twice. When the block ends, fails or is closed, every
+    child is killed and reaped and its stream closed.
     """
     import signal
 
@@ -349,7 +350,7 @@ def _children(*inherited: BinaryIO) -> Iterator[Callable[[Callable], BinaryIO]]:
             pid = os.fork()
             if pid == 0:
                 try:
-                    for stream in (*inherited, *streams):
+                    for stream in streams:
                         stream.close()
                     pipe = open(write_fd, "wb")
 

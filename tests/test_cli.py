@@ -707,6 +707,16 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "line 2" in err
 
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85",
+                                           "\u2028", "\u2029"])
+    def test_parse_error_counts_only_newlines(self, tmp_path, separator):
+        # Before: ``str.splitlines`` also broke the comment at ``separator``,
+        # and the error named line 5.
+        path = tmp_path / "bad.edges"
+        path.write_text(f"s 1\n# note{separator}page two\n1 t\nbad\n", encoding="utf-8")
+        code, _, err = _run(RunConfig(str(path)))
+        assert (code, err) == (EXIT_USAGE, "error: line 4: expected two labels, got 1\n")
+
     def test_script_exhausted_exit_one(self):
         config = RunConfig(str(FIXTURES / "fig1.edges"), order="script:1")
         code, out, _ = _run(config)
@@ -1031,12 +1041,12 @@ def test_json_array_joins_a_batch_in_small_chunks():
 
 
 class TestJsonWriter:
-    """An untraced corrected JSON run into a file writes from a forked
-    writer while this process searches; anything else writes in process."""
+    """An untraced corrected JSON run forks a child that searches while
+    this process writes; anything else searches and writes in process."""
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """Two usable CPUs, and a list that gains an entry per forked writer."""
+        """Two usable CPUs, and a list that gains an entry per forked search."""
         monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: 2)
         calls = []
         real = mincuts.cli._write_while_searching
@@ -1075,13 +1085,17 @@ class TestJsonWriter:
         assert forks == []
         assert (code, text) == _run(config)[:2]
 
-    def test_a_stream_without_a_file_descriptor_writes_in_process(self, forks):
-        # ``io.StringIO().fileno()`` raises io.UnsupportedOperation, a
-        # ValueError, which must not end the run as a usage error.
-        code, out, err = _run(RunConfig(str(FIXTURES / "fig1.edges"), output_format="json"))
-        assert (code, err) == (EXIT_OK, "")
-        assert forks == []
-        json.loads(out)
+    def test_a_stream_without_a_file_descriptor_forks(self, forks, monkeypatch):
+        # Before: a stream whose ``fileno`` fails, such as ``io.StringIO``,
+        # was written in process.
+        config = RunConfig(str(FIXTURES / "grid3x4.edges"), output_format="json",
+                           emit_cuts=True)
+        with _leaves_nothing():
+            forked = _run(config)
+        assert len(forks) == 1
+        monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: 1)
+        assert forked == _run(config)
+        assert forked[0] == EXIT_OK and forked[2] == ""
 
     def test_one_cpu_writes_in_process(self, tmp_path, forks, monkeypatch):
         monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: 1)
@@ -1089,53 +1103,62 @@ class TestJsonWriter:
             code, _, _ = self._to_file(tmp_path)
         assert (code, forks) == (EXIT_OK, [])
 
-    def test_writer_failure_raises_its_traceback(self, tmp_path, forks, monkeypatch):
-        def refuse(self, batch):
-            raise KeyError("no rows here")
+    def test_search_failure_raises_its_traceback(self, tmp_path, forks, monkeypatch):
+        def failing(g, opts, on_batch):
+            on_batch([1 << g.source])
+            raise KeyError("no sets here")
 
-        monkeypatch.setattr(_RowFragments, "cuts", refuse)
+        monkeypatch.setattr(mincuts.cli, "enumerate_mcvs", failing)
         with _leaves_nothing():
-            with pytest.raises(RuntimeError, match="JSON writer failed") as info:
+            with pytest.raises(RuntimeError, match="forked search failed") as info:
                 self._to_file(tmp_path)
-        assert "Traceback" in str(info.value) and "no rows here" in str(info.value)
+        assert "Traceback" in str(info.value) and "no sets here" in str(info.value)
 
-    @pytest.mark.parametrize("cpus", [1, 2], ids=["1-cpu", "2-cpus"])
+    @pytest.mark.parametrize(
+        "side, cpus",
+        [("render", 1), ("render", 2), ("search", 1), ("search", 2)],
+        ids=["1-cpu", "2-cpus", "search-1-cpu", "search-2-cpus"],
+    )
     def test_writer_value_error_raises_as_in_process(self, tmp_path, forks, monkeypatch,
-                                                     cpus):
-        # Before: the forked writer's ValueError came back as RuntimeError.
+                                                     side, cpus):
+        # Before: the forked writer's ValueError came back as RuntimeError,
+        # and an in-process search's one ended the run as a usage error.
         monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: cpus)
 
-        def refuse(self, batch):
+        def refuse(*args, **kwargs):
             raise ValueError("no rows here", 7)
 
-        monkeypatch.setattr(_RowFragments, "cuts", refuse)
+        if side == "render":
+            monkeypatch.setattr(_RowFragments, "cuts", refuse)
+        else:
+            monkeypatch.setattr(mincuts.cli, "enumerate_mcvs", refuse)
         with _leaves_nothing():
             with pytest.raises(ValueError) as info:
                 self._to_file(tmp_path)
         assert (type(info.value), info.value.args) == (ValueError, ("no rows here", 7))
         assert len(forks) == (cpus > 1)
 
-    def test_writer_that_dies_is_reported(self, tmp_path, forks, monkeypatch):
-        monkeypatch.setattr(_RowFragments, "cuts", lambda self, batch: os._exit(3))
+    def test_search_that_dies_is_reported(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(mincuts.cli, "enumerate_mcvs",
+                            lambda g, opts, on_batch: os._exit(3))
         with _leaves_nothing():
-            with pytest.raises(RuntimeError, match="JSON writer exited early"):
+            with pytest.raises(RuntimeError, match="forked search exited early"):
                 self._to_file(tmp_path)
 
-    def test_failed_search_leaves_no_writer(self, tmp_path, forks, monkeypatch):
-        def failing(g, opts, on_batch):
-            on_batch([1 << g.source])
-            raise KeyError("search failed")
+    def test_failed_render_leaves_no_search(self, tmp_path, forks, monkeypatch):
+        def refuse(self, batch):
+            raise KeyError("no rows here")
 
-        monkeypatch.setattr(mincuts.cli, "enumerate_mcvs", failing)
+        monkeypatch.setattr(_RowFragments, "cuts", refuse)
         with _leaves_nothing():
-            with pytest.raises(KeyError, match="search failed"):
+            with pytest.raises(KeyError, match="no rows here"):
                 self._to_file(tmp_path)
         assert len(forks) == 1
 
 
 def test_reader_that_leaves_early_ends_the_writer_quietly(tmp_path):
     # ``| head -c 64`` under ``-X dev``, which shows unclosed files; two CPUs
-    # are given in the child, so its JSON comes from a forked writer.
+    # are given in the child, so its search runs in a forked child.
     path = tmp_path / "grid.edges"
     path.write_text("".join(f"{a} {b}\n" for a, b in grid_graph_edges(4, 6)))
     script = (
@@ -1162,6 +1185,44 @@ def test_reader_that_leaves_early_ends_the_writer_quietly(tmp_path):
         assert (code, proc.stderr.read()) == (EXIT_USAGE, b"")
 
 
+def test_forked_search_succeeds_cleanly_under_dev_mode(tmp_path):
+    # The success path of the fork, under ``-X dev -W error``, which turns an
+    # unclosed file into an error on stderr: the child exits 0 with nothing
+    # on stderr, forks exactly when given two CPUs, and leaves no child.
+    path = tmp_path / "grid.edges"
+    path.write_text("".join(f"{a} {b}\n" for a, b in grid_graph_edges(4, 6)))
+    script = (
+        "import os, sys\n"
+        "import mincuts.cli, mincuts.corpus\n"
+        "cpus = int(sys.argv[1])\n"
+        "mincuts.corpus._usable_cpus = lambda: cpus\n"
+        "forks = []\n"
+        "real = mincuts.cli._write_while_searching\n"
+        "mincuts.cli._write_while_searching = lambda *a: forks.append(a) or real(*a)\n"
+        "code = mincuts.cli.main(sys.argv[2:])\n"
+        "if len(forks) != (cpus > 1):\n"
+        "    sys.exit(f'{len(forks)} forked searches on {cpus} CPUs')\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    sys.exit(code)\n"
+        "sys.exit('a child is left')\n"
+    )
+    outputs = []
+    for cpus in (2, 1):
+        target = tmp_path / f"{cpus}.json"
+        with open(target, "wb") as out:
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-c", script, str(cpus),
+                 "run", str(path), "--format", "json", "--emit-cuts"],
+                env=_cli_env(), stdout=out, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        outputs.append(target.read_bytes())
+    assert outputs[0] == outputs[1]
+    json.loads(outputs[0])
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize(
     "args, forks",
@@ -1175,9 +1236,9 @@ def test_reader_that_leaves_early_ends_the_writer_quietly(tmp_path):
 )
 def test_full_stdout_exits_one_with_a_message(args, forks):
     # Before: a traceback, of an OSError or of the writer's RuntimeError.
-    # Two CPUs are given in the child, so the untraced JSON comes from a
-    # forked writer and the corpus from two workers; the child adds 10 to
-    # its exit code for each forked writer.
+    # Two CPUs are given in the child, so the untraced JSON's search runs in
+    # a forked child and the corpus in two workers; the child adds 10 to its
+    # exit code for each forked search.
     script = (
         "import sys\n"
         "import mincuts.cli, mincuts.corpus\n"

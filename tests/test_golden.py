@@ -20,8 +20,8 @@ the pruned labels were derived from the two graphs' labels, and the traced
 two bytes of node bits) before trace events kept their candidates as
 masks; any change to them is a change of the behaviour contract. Each
 JSON case also runs into a real file, on one CPU and on two: there an
-untraced single-sink corrected run writes from a forked writer while the
-search runs, and must give the same bytes.
+untraced single-sink corrected run searches in a forked child while this
+process writes, and must give the same bytes.
 
 Re-record (only for an intended output change) with
 ``PYTHONPATH=src python -m tests.test_golden``.
@@ -127,9 +127,8 @@ def test_matches_golden_bytes(fixture, name, flags, exit_code, fmt):
 )
 def test_json_golden_bytes_through_a_file(tmp_path, monkeypatch, fixture, name, flags,
                                           exit_code, cpus):
-    # A stream with a file descriptor lets an untraced single-sink corrected
-    # run fork its JSON writer when there are two CPUs; the goldens above
-    # write to StringIO, which has none.
+    # An untraced single-sink corrected run forks its search when there are
+    # two CPUs; this runs each case on one CPU and on two, into a real file.
     monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: cpus)
     forks = []
     real = mincuts.cli._write_while_searching
