@@ -40,7 +40,7 @@ from .enumeration import (
 )
 # No row uses cut_edges; perfbench/tracing.py wraps it here and tests/test_surface.py checks it.
 from .graph import Graph, NodeSet, _bits, build_graph, cut_edges, prune_irrelevant
-from .oracle import DiffReport, OracleResult, brute_force_mcvs, diff
+from .oracle import DiffReport, brute_force_mcvs, diff
 
 __all__ = ["ParseError", "RunConfig", "UsageError", "main", "parse_edge_list", "run"]
 
@@ -176,7 +176,7 @@ class _SinkRun:
     pruned_labels: tuple[str, ...]
     opts: EnumerationOptions | None  # None for the oracle algorithm
     policy: YehPolicy | None  # set for the replica only
-    oracle: OracleResult | None
+    oracle: frozenset[NodeSet] | None
     report: EnumerationReport | None = None
     comparison: DiffReport | None = None
     exit_code: int = EXIT_OK
@@ -246,7 +246,7 @@ def _mcv_sets(run: _SinkRun) -> Sequence[NodeSet]:
     if run.report is not None:
         return run.report.mcvs
     assert run.oracle is not None
-    return sorted(run.oracle.mcvs, key=lambda u: _labels_sorted(run.graph, u))
+    return sorted(run.oracle, key=lambda u: _labels_sorted(run.graph, u))
 
 
 def _batches(items: Sequence) -> Iterator[Sequence]:
@@ -451,9 +451,6 @@ class _RowFragments:
 
     def mcv(self, u: NodeSet) -> str:
         return self.mcvs((u,))[0]
-
-    def cut(self, u: NodeSet) -> str:
-        return self.cuts((u,))[0]
 
     def mcvs(self, batch: Sequence[NodeSet]) -> list[str]:
         return self._rows(self._node_positions, self._node_text, self._node_skip, batch)

@@ -128,23 +128,24 @@ def _random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
     return build_graph([(names[i], names[j]) for i, j in edges], "s", "t")
 
 
-def corpus_entries(spec: CorpusSpec) -> list[CorpusEntry]:
-    """Generate the corpus with its per-graph seeds.
-
-    A master stream derives one seed per graph, so any single graph can be
-    regenerated from the seed printed in the runner's report line.
-    """
+def _graph_seeds(spec: CorpusSpec) -> list[int]:
+    """One seed per graph, drawn from a master stream seeded with ``spec.seed``."""
     master = random.Random(spec.seed)
-    entries = []
-    for index in range(spec.graph_count):
-        graph_seed = master.randrange(2**32)
-        rng = random.Random(graph_seed)
-        g = _random_connected_graph(rng, rng.randint(spec.min_nodes, spec.max_nodes),
-                                    spec.edge_probability)
-        if spec.prune:
-            g = prune_irrelevant(g)
-        entries.append(CorpusEntry(index, graph_seed, g))
-    return entries
+    return [master.randrange(2**32) for _ in range(spec.graph_count)]
+
+
+def _corpus_entry(spec: CorpusSpec, index: int, seed: int) -> CorpusEntry:
+    """Graph ``index`` of the corpus, generated from its own ``seed`` alone."""
+    rng = random.Random(seed)
+    g = _random_connected_graph(rng, rng.randint(spec.min_nodes, spec.max_nodes),
+                                spec.edge_probability)
+    return CorpusEntry(index, seed, prune_irrelevant(g) if spec.prune else g)
+
+
+def corpus_entries(spec: CorpusSpec) -> list[CorpusEntry]:
+    """Generate the corpus with its per-graph seeds, so any single graph can
+    be regenerated from the seed printed in the runner's report line."""
+    return [_corpus_entry(spec, i, seed) for i, seed in enumerate(_graph_seeds(spec))]
 
 
 def _edge_label_pairs(g: Graph) -> list[tuple[str, str]]:
@@ -225,7 +226,8 @@ def run_corpus(
     graph does.
 
     The graphs run in forked workers, one per usable CPU, and in this
-    process where there is one CPU, no ``os.fork`` or a second thread. The
+    process where there is one CPU, no ``os.fork`` or a second thread; each
+    graph is generated from its seed in the process that checks it. The
     lines, their order, the artifacts and the errors are the same either
     way (a worker's other failures come back as ``RuntimeError``), and no
     worker outlives the call. After a failed write, other workers may
@@ -238,16 +240,17 @@ def run_corpus(
         except OSError as exc:
             raise _SettingError(f"cannot create out_dir: {exc.strerror}") from None
 
-    entries = corpus_entries(spec)
+    seeds = _graph_seeds(spec)
 
-    def check(entry: CorpusEntry) -> tuple[str, bool]:
-        return _check_graph(entry, spec, out_path)
+    def check(index: int) -> tuple[str, bool]:
+        return _check_graph(_corpus_entry(spec, index, seeds[index]), spec, out_path)
 
-    workers = _fork_slots(len(entries))
+    workers = _fork_slots(len(seeds))
+    indices = range(len(seeds))
     if workers > 1:
-        results = _in_workers(check, entries, workers)
+        results = _in_workers(check, indices, workers)
     else:
-        results = (check(entry) for entry in entries)
+        results = (check(i) for i in indices)
     lines: list[str] = []
     mismatches = 0
     try:
@@ -267,7 +270,7 @@ def _check_graph(
     """One graph against the oracle: its report line and whether it is a
     mismatch, shrunk and written under ``out_path`` when that is given."""
     g = entry.graph
-    oracle_sets = brute_force_mcvs(g).mcvs
+    oracle_sets = brute_force_mcvs(g)
     # Each run's options are built as it starts: no list of orders is held.
     first = entry.seed * 100
     runs = (
@@ -361,7 +364,8 @@ def _children() -> Iterator[Callable[[Callable], BinaryIO]]:
                     try:
                         body(send)
                     except (OSError, ValueError) as exc:
-                        send(exc.args, "OSError" if isinstance(exc, OSError) else "ValueError")
+                        kind = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+                        send(exc.args, kind)
                     except Exception:
                         import traceback
 
@@ -390,7 +394,8 @@ def _receive(stream: BinaryIO, who: str):
     """The next value a child of :func:`_children` sent down ``stream``.
 
     A child's ``ValueError`` or ``OSError`` is raised here as one with the
-    same args, as it would be in process (so EPIPE is a ``BrokenPipeError``);
+    same args, as it would be in process (so EPIPE is a ``BrokenPipeError``,
+    and a ``_SettingError`` stays one, for the CLI to rename its fields);
     any other failure as a ``RuntimeError`` with the child's traceback, and
     a child that left without a frame as one that says so.
     """
@@ -402,17 +407,15 @@ def _receive(stream: BinaryIO, who: str):
         return value
     if kind == "traceback":
         raise RuntimeError(f"{who} failed:\n{value}")
-    raise (OSError if kind == "OSError" else ValueError)(*value)
+    raise {"OSError": OSError, "_SettingError": _SettingError}.get(kind, ValueError)(*value)
 
 
 def _in_workers(
-    check: Callable[[CorpusEntry], tuple[str, bool]],
-    entries: list[CorpusEntry],
-    workers: int,
+    check: Callable[[int], tuple[str, bool]], indices: range, workers: int
 ) -> Iterator[tuple[str, bool]]:
-    """``check`` of each entry, in entry order, run in forked workers.
+    """``check`` of each graph index, in order, run in forked workers.
 
-    Worker ``k`` checks entries ``k``, ``k + workers``, ... and sends each
+    Worker ``k`` checks indices ``k``, ``k + workers``, ... and sends each
     result as one frame (see :func:`_children`). The frames are read
     round-robin, so each result is yielded as soon as it and those before
     it are in. A worker's failure is raised here as :func:`_receive` says,
@@ -420,23 +423,23 @@ def _in_workers(
     or is closed.
     """
 
-    def serve(mine: list[CorpusEntry], send: Callable) -> None:
-        for entry in mine:
-            send(check(entry))
+    def serve(mine: range, send: Callable) -> None:
+        for index in mine:
+            send(check(index))
 
     with _children() as fork:
         children = [
-            (fork(partial(serve, entries[k::workers])), f"corpus worker {k}")
+            (fork(partial(serve, indices[k::workers])), f"corpus worker {k}")
             for k in range(workers)
         ]
-        for i in range(len(entries)):
+        for i in indices:
             yield _receive(*children[i % workers])
 
 
 def _disagreement_check(opts: EnumerationOptions) -> Callable[[Graph], bool]:
     def check(g: Graph) -> bool:
         got = frozenset(enumerate_mcvs(g, opts).mcvs)
-        return got != brute_force_mcvs(g).mcvs
+        return got != brute_force_mcvs(g)
 
     return check
 

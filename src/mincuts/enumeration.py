@@ -27,10 +27,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Literal, Union, get_args
 
-from .graph import Cut, Graph, NodeSet, _bits, _connected_mask, _connected_without, cut_edges
+from .graph import Graph, NodeSet, _bits, _connected_mask, _connected_without, cut_edges
 
 __all__ = [
     "B_POLICIES",
@@ -244,9 +243,8 @@ class EnumerationReport:
     """Outcome of one enumeration run on ``graph``.
 
     ``mcvs`` lists the recorded node sets, as bitmasks, in discovery order
-    (``graph.label_set(u)`` names the members of one), and ``cuts`` their
-    crossing-edge sets, index-parallel; the cuts are computed on first
-    access. The replica can record sets that are not actually
+    (``graph.label_set(u)`` names the members of one, ``cut_edges(graph, u)``
+    its crossing edges). The replica can record sets that are not actually
     cut-generating (that is one of its defects); the corrected engine's
     output is sound whenever the input graph has no nodes off every
     source-sink path.
@@ -257,10 +255,6 @@ class EnumerationReport:
     stats: RunStats
     status: RunStatus
     graph: Graph
-
-    @cached_property
-    def cuts(self) -> tuple[Cut, ...]:
-        return tuple(cut_edges(self.graph, u) for u in self.mcvs)
 
 
 def enumerate_mcvs(

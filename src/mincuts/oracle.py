@@ -9,15 +9,13 @@ neighbour tables. So an agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .enumeration import EnumerationReport
-from .graph import Cut, Graph, NodeSet, cut_edges, is_mcv
+from .graph import Graph, NodeSet, cut_edges, is_mcv
 
 __all__ = [
     "DiffReport",
     "MAX_ORACLE_NODES",
-    "OracleResult",
     "TooLarge",
     "brute_force_mcvs",
     "diff",
@@ -31,21 +29,9 @@ class TooLarge(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Every cut-generating node set of ``graph``, as bitmasks; ``cuts``
-    holds their crossing-edge sets and is computed on first access."""
-
-    mcvs: frozenset[NodeSet]
-    graph: Graph
-
-    @cached_property
-    def cuts(self) -> frozenset[Cut]:
-        return frozenset(cut_edges(self.graph, u) for u in self.mcvs)
-
-
-def brute_force_mcvs(g: Graph) -> OracleResult:
-    """Every cut-generating node set, by checking all candidate subsets.
+def brute_force_mcvs(g: Graph) -> frozenset[NodeSet]:
+    """Every cut-generating node set of ``g``, as bitmasks, by checking all
+    candidate subsets (``cut_edges(g, u)`` gives the cut of one).
 
     Scans the ``2**(n-2)`` subsets containing the source and not the sink,
     keeping those where both the subset and its complement induce connected
@@ -91,7 +77,7 @@ def brute_force_mcvs(g: Graph) -> OracleResult:
         if sub == free:
             break
         sub = (sub - free) & free
-    return OracleResult(mcvs=frozenset(mcvs), graph=g)
+    return frozenset(mcvs)
 
 
 def _union_table(masks: tuple[int, ...]) -> list[int]:
@@ -122,16 +108,16 @@ class DiffReport:
         return not self.missing and not self.spurious
 
 
-def diff(candidate: EnumerationReport, oracle: OracleResult) -> DiffReport:
+def diff(candidate: EnumerationReport, oracle: frozenset[NodeSet]) -> DiffReport:
     """Compare a run's recorded sets against the oracle's, as sets.
 
-    Both sides must have been computed on the same graph; ``invalid`` is
-    judged on ``oracle.graph``.
+    ``oracle`` must be :func:`brute_force_mcvs` of ``candidate.graph``, on
+    which ``invalid`` is judged.
     """
     produced = frozenset(candidate.mcvs)
-    spurious = produced - oracle.mcvs
+    spurious = produced - oracle
     return DiffReport(
-        missing=oracle.mcvs - produced,
+        missing=oracle - produced,
         spurious=spurious,
-        invalid=frozenset(u for u in spurious if not is_mcv(oracle.graph, u)),
+        invalid=frozenset(u for u in spurious if not is_mcv(candidate.graph, u)),
     )

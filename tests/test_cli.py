@@ -284,11 +284,10 @@ def test_awkward_labels_stream_canonical_json(tmp_path, graph, all_sinks, algori
     for sink, got in zip(sinks, runs):
         g = prune_irrelevant(build_graph(edges, source, sink))
         if algorithm == "oracle":
-            sets = sorted(brute_force_mcvs(g).mcvs, key=lambda u: sorted(g.label_set(u)))
-            cuts = [cut_edges(g, u) for u in sets]
+            sets = sorted(brute_force_mcvs(g), key=lambda u: sorted(g.label_set(u)))
         else:
-            report = enumerate_mcvs(g)
-            sets, cuts = report.mcvs, report.cuts
+            sets = enumerate_mcvs(g).mcvs
+        cuts = [cut_edges(g, u) for u in sets]
         assert (got["mcvs"], got["cuts"]) == _label_rows(g, sets, cuts)
 
 
@@ -434,11 +433,11 @@ def test_row_tables_fill_on_use_and_stay_small(level):
               if isinstance(t, list) and all(isinstance(x, _ByteTable) for x in t)]
     assert len(tables) == 4
     assert all(len(table) == 1 for t in tables for table in t)
-    pairs = ((rows.mcv, rows._node_positions, rows._node_text),
-             (rows.cut, rows._incidence, rows._edge_text))
+    pairs = ((rows.mcvs, rows._node_positions, rows._node_text),
+             (rows.cuts, rows._incidence, rows._edge_text))
     for u in enumerate_mcvs(g).mcvs:
         for row, masks, texts in pairs:
-            row(u)
+            row((u,))
             # Each byte of the row's masks now has its entry, so these
             # lookups are hits, and rendering the row again adds none.
             chunks = u.to_bytes(len(masks), "little")
@@ -446,7 +445,7 @@ def test_row_tables_fill_on_use_and_stay_small(level):
             p = reduce(xor, map(dict.__getitem__, masks, chunks))
             assert all(b in t for t, b in zip(texts, p.to_bytes(len(texts), "little")))
             size = sum(map(len, masks + texts))
-            row(u)
+            row((u,))
             assert sum(map(len, masks + texts)) == size
     assert all(len(table) < 256 // 4 for t in tables for table in t)
 

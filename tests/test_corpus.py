@@ -17,7 +17,7 @@ import pytest
 
 import mincuts.corpus
 from mincuts import build_graph, prune_irrelevant
-from mincuts.cli import parse_edge_list
+from mincuts.cli import main, parse_edge_list
 from mincuts.corpus import (
     CorpusSpec,
     corpus_entries,
@@ -118,7 +118,7 @@ class TestShrinker:
         opts = opts or EnumerationOptions()
 
         def check(g):
-            return frozenset(enumerate_mcvs(g, opts).mcvs) != brute_force_mcvs(g).mcvs
+            return frozenset(enumerate_mcvs(g, opts).mcvs) != brute_force_mcvs(g)
 
         return check
 
@@ -180,7 +180,7 @@ class TestRunner:
         pairs = parse_edge_list(artifacts[0].read_text())
         shrunk = build_graph(pairs, "s", "t")
         opts = EnumerationOptions(b_policy="persistent")
-        assert frozenset(enumerate_mcvs(shrunk, opts).mcvs) != brute_force_mcvs(shrunk).mcvs
+        assert frozenset(enumerate_mcvs(shrunk, opts).mcvs) != brute_force_mcvs(shrunk)
 
     def test_scoped_policy_clean_on_known_persistent_trap(self):
         spec = CorpusSpec(graph_count=7, min_nodes=4, max_nodes=10, seed=42)
@@ -307,6 +307,41 @@ class TestWorkers:
                 self._run(None)
         assert type(info.value) is PermissionError
         assert info.value.args == (errno.EACCES, "graph 4 refused")
+
+    def test_setting_error_keeps_its_flag_name(self, cpus, capsys):
+        # Graphs are generated in the workers, so a hopeless edge probability
+        # fails there. Before its error frame kept the type, it came back as
+        # a plain ValueError, and the CLI printed ``edge_probability``.
+        spec = CorpusSpec(graph_count=4, min_nodes=12, max_nodes=12, edge_probability=0.01)
+        with pytest.raises(mincuts.corpus._SettingError, match="raise edge_probability"):
+            run_corpus(spec)
+        args = ["--count", "4", "--min-nodes", "12", "--max-nodes", "12", "--edge-prob", "0.01"]
+        assert main(["corpus", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "raise --edge-prob" in captured.err
+        assert "edge_probability" not in captured.err
+        _assert_no_child_left()
+
+    def test_forking_run_generates_no_graph_here(self, monkeypatch):
+        # This process derives the seeds only; each worker builds its own
+        # graphs, so this process's memory does not grow with the count.
+        monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: 3)
+        generate, here = mincuts.corpus._random_connected_graph, os.getpid()
+        built_here = []
+
+        def counting(*args):
+            if os.getpid() == here:
+                built_here.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(mincuts.corpus, "_random_connected_graph", counting)
+        forked = self._run(None)
+        assert built_here == []
+        monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: 1)
+        assert self._run(None) == forked
+        assert len(built_here) == forked.graphs
+        _assert_no_child_left()
 
     def test_second_thread_keeps_the_run_in_process(self, monkeypatch):
         # A forked child would hold only the forking thread.

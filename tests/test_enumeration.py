@@ -23,7 +23,7 @@ from mincuts.enumeration import (
     YehPolicy,
     run_yeh_original,
 )
-from mincuts.graph import _bits, is_mcv
+from mincuts.graph import _bits, cut_edges, is_mcv
 from mincuts.corpus import CorpusSpec, corpus_entries
 from mincuts.oracle import brute_force_mcvs
 
@@ -160,9 +160,8 @@ class TestInvariants:
     def test_cuts_parallel_to_mcvs(self, fig1):
         report = enumerate_mcvs(fig1)
         assert report.graph is fig1
-        assert "cuts" not in vars(report)  # built on first read only
-        assert len(report.cuts) == len(report.mcvs)
-        for u, cut in zip(report.mcvs, report.cuts):
+        for u in report.mcvs:
+            cut = cut_edges(report.graph, u)
             # The members with a neighbour outside are the cut's inner ends.
             outside = fig1.full_mask & ~u
             boundary = {v for v in _bits(u) if fig1.adjacency_masks[v] & outside}
@@ -255,7 +254,7 @@ class TestBlockedSetPolicies:
         # position stays blocked at the parent, hiding a viable subtree.
         scoped = enumerate_mcvs(k23, EnumerationOptions(b_policy="scoped"))
         persistent = enumerate_mcvs(k23, EnumerationOptions(b_policy="persistent"))
-        oracle = brute_force_mcvs(k23).mcvs
+        oracle = brute_force_mcvs(k23)
         assert frozenset(scoped.mcvs) == oracle
         assert label_sets(k23, oracle) == as_frozen(K23_ALL_MCVS)
         assert frozenset(persistent.mcvs) < oracle
@@ -284,7 +283,7 @@ class TestBlockedSetPolicies:
         opts = EnumerationOptions(selection_order=RandomOrder(order_seed))
         report = enumerate_mcvs(g, opts)
         assert report.status is RunStatus.COMPLETED
-        assert frozenset(report.mcvs) == brute_force_mcvs(g).mcvs
+        assert frozenset(report.mcvs) == brute_force_mcvs(g)
 
 
     def test_unknown_policy_rejected(self):
@@ -531,7 +530,7 @@ class TestEdgeSubdivision:
         pairs = [(names[u], names[v]) for u, v in sorted(g.edges) if (u, v) != edge]
         h = build_graph(pairs + [(a, x), (x, b)], names[g.source], names[g.sink])
         report = enumerate_mcvs(g)
-        crossing = sum(edge in cut for cut in report.cuts)
+        crossing = sum(edge in cut_edges(g, u) for u in report.mcvs)
         expected = set()
         for labels in label_sets(g, report.mcvs):
             ends = (a in labels) + (b in labels)
@@ -566,7 +565,8 @@ class TestRelabelling:
         """``g``'s cuts as sets of label pairs, labels passed through ``rename``."""
         names = [rename[x] for x in g.node_names] if rename else g.node_names
         pair = {(a, b): frozenset((names[a], names[b])) for a, b in g.edges}
-        return [frozenset(map(pair.__getitem__, cut)) for cut in enumerate_mcvs(g).cuts]
+        cuts = (cut_edges(g, u) for u in enumerate_mcvs(g).mcvs)
+        return [frozenset(map(pair.__getitem__, cut)) for cut in cuts]
 
     def _assert_relabelled_cuts_agree(self, g, rnd):
         names = g.node_names
@@ -608,7 +608,7 @@ class TestPredecessorStructure:
         checked = 0
         for entry in corpus_entries(spec):
             g = entry.graph
-            for u in brute_force_mcvs(g).mcvs:
+            for u in brute_force_mcvs(g):
                 if u.bit_count() < 2:
                     continue
                 checked += 1
@@ -689,6 +689,26 @@ class TestYehOriginalReplica:
                         exact = YehPolicy(transfer, full.stats.steps)
                         assert run_yeh_original(g, exact, opts).stats == full.stats
         assert truncated > 1000
+
+    def test_shortfall_against_the_exact_count_on_grids(self):
+        # The paper's claim past its one example: in ascending order, no
+        # transfer finds every set. Per grid, the exact count, then per
+        # transfer the status, the sets recorded and the distinct recorded
+        # sets that are cut-generating (README's table).
+        done, spent = RunStatus.COMPLETED, RunStatus.STEP_LIMIT_EXCEEDED
+        shortfall = {
+            (3, 4): (81, {"goto-step4": (done, 60, 60), "goto-step3": (done, 209, 67),
+                          "goto-step1": (spent, 10, 10)}),
+            (4, 5): (1353, {"goto-step4": (done, 647, 647), "goto-step3": (done, 20829, 1185),
+                            "goto-step1": (spent, 18, 18)}),
+        }
+        for (rows, cols), (exact, transfers) in shortfall.items():
+            g = build_graph(grid_graph_edges(rows, cols), "s", "t")
+            assert len(brute_force_mcvs(g)) == exact
+            for transfer, want in transfers.items():
+                report = run_yeh_original(g, YehPolicy(transfer, 200_000))
+                valid = {u for u in set(report.mcvs) if is_mcv(g, u)}
+                assert (report.status, len(report.mcvs), len(valid)) == want, transfer
 
     def test_root_set_never_recorded(self):
         g = build_graph([("s", "t")], "s", "t")

@@ -18,10 +18,15 @@ the pruned labels were derived from the two graphs' labels, and the traced
 ``grid3x4`` cases (the corrected search, and the replica under
 ``goto-step4``; the only traced rows whose prefix and candidate sets span
 two bytes of node bits) before trace events kept their candidates as
-masks; any change to them is a change of the behaviour contract. Each
-JSON case also runs into a real file, on one CPU and on two: there an
-untraced single-sink corrected run searches in a forked child while this
-process writes, and must give the same bytes.
+masks. The ``cycle4`` cases (the 4-cycle ``s-a-t-b``, the repo's
+counterpart of the paper's example: under each transfer the traced
+replica records only ``{s,a}`` and ``{s,a,b}``, misses ``{s}`` and
+``{s,b}``, and stops after 11 steps, exit 2 against the oracle) were
+recorded as the oracle began to return its set of masks, and the code
+before that gives the same bytes. Any change to the files is a change of
+the behaviour contract. Each JSON case also runs into a real file, on one
+CPU and on two: there an untraced single-sink corrected run searches in a
+forked child while this process writes, and must give the same bytes.
 
 Re-record (only for an intended output change) with
 ``PYTHONPATH=src python -m tests.test_golden``.
@@ -39,6 +44,7 @@ import pytest
 import mincuts.cli
 import mincuts.corpus
 from mincuts.cli import main
+from mincuts.enumeration import YEH_POLICIES
 
 from .conftest import FIXTURES
 
@@ -93,6 +99,10 @@ CASES = [
         ("--algorithm", "yeh-original", "--yeh-policy", "goto-step3", "--compare-oracle"),
         2,
     ),
+    ("cycle4", "default", (), 0),
+] + [
+    ("cycle4", f"yeh-{policy}-trace-compare-oracle", (*YEH, policy, "--compare-oracle"), 2)
+    for policy in YEH_POLICIES
 ]
 
 FORMATS = {"json": ("--format", "json"), "txt": ("--emit-cuts",)}

@@ -216,7 +216,7 @@ class TestPrune:
                     frozenset(
                         frozenset((h.node_names[u], h.node_names[v])) for u, v in cut
                     )
-                    for cut in brute_force_mcvs(h).cuts
+                    for cut in (cut_edges(h, u) for u in brute_force_mcvs(h))
                 }
 
             assert cut_families(g) == cut_families(pruned)

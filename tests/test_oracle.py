@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,48 +59,44 @@ class TestBruteForce:
         # judged exactly as ``is_mcv`` judges it.
         g = data.draw(graphs_with_terminals_in(source_high, sink_high, odd))
         expected = {u for u in range(1 << g.node_count) if is_mcv(g, u)}
-        assert brute_force_mcvs(g).mcvs == expected
+        assert brute_force_mcvs(g) == expected
 
     def test_agrees_with_search_on_3x7_grid(self):
         # 21 nodes, 2**19 subsets: the largest oracle check in the suite.
         g = build_graph(grid_graph_edges(3, 7), "s", "t")
         oracle = brute_force_mcvs(g)
-        assert len(oracle.mcvs) == 938
-        assert oracle.mcvs == frozenset(enumerate_mcvs(g).mcvs)
+        assert len(oracle) == 938
+        assert oracle == frozenset(enumerate_mcvs(g).mcvs)
 
     def test_fig1_nine_results(self, fig1):
-        result = brute_force_mcvs(fig1)
-        assert label_sets(fig1, result.mcvs) == as_frozen(FIG1_GOLDEN)
+        assert label_sets(fig1, brute_force_mcvs(fig1)) == as_frozen(FIG1_GOLDEN)
 
     def test_single_edge(self):
         g = build_graph([("s", "t")], "s", "t")
-        result = brute_force_mcvs(g)
-        assert label_sets(g, result.mcvs) == as_frozen([{"s"}])
+        assert label_sets(g, brute_force_mcvs(g)) == as_frozen([{"s"}])
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_complete_graph_counts(self, n):
         g = build_graph(complete_graph_edges(n), "s", "t")
-        assert len(brute_force_mcvs(g).mcvs) == 2 ** (n - 2)
+        assert len(brute_force_mcvs(g)) == 2 ** (n - 2)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_path_graph_counts(self, n):
         g = build_graph(path_graph_edges(n), "s", "t")
-        assert len(brute_force_mcvs(g).mcvs) == n - 1
+        assert len(brute_force_mcvs(g)) == n - 1
 
     def test_deterministic_and_idempotent(self, fig1):
         first = brute_force_mcvs(fig1)
         second = brute_force_mcvs(fig1)
-        assert first.mcvs == second.mcvs
-        assert first.cuts == second.cuts
+        assert type(first) is frozenset
+        assert first == second
 
     def test_cut_bijection(self, fig1):
         result = brute_force_mcvs(fig1)
-        assert "cuts" not in vars(result)  # built on first read only
-        assert result.cuts == frozenset(cut_edges(fig1, u) for u in result.mcvs)
-        assert len(result.cuts) == len(result.mcvs)
+        assert len({cut_edges(fig1, u) for u in result}) == len(result)
 
     def test_cuts_are_minimal(self, fig1):
-        for cut in brute_force_mcvs(fig1).cuts:
+        for cut in map(partial(cut_edges, fig1), brute_force_mcvs(fig1)):
             keep = fig1.edges - cut
             pairs = [(fig1.node_names[a], fig1.node_names[b]) for a, b in keep]
             assert not st_connected(pairs, "s", "t")
@@ -128,7 +126,7 @@ class TestBruteForce:
                 frozenset((pruned.node_names[u], pruned.node_names[v]))
                 for u, v in pruned.edges
             }
-            for cut in brute_force_mcvs(g).cuts:
+            for cut in map(partial(cut_edges, g), brute_force_mcvs(g)):
                 for u, v in cut:
                     assert frozenset((g.node_names[u], g.node_names[v])) in surviving
 
