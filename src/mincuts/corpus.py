@@ -25,7 +25,7 @@ from .enumeration import (
     RandomOrder,
     enumerate_mcvs,
 )
-from .graph import Graph, GraphError, _connected_mask, build_graph, prune_irrelevant
+from .graph import Edge, Graph, _connected_mask, build_graph, prune_irrelevant
 from .oracle import brute_force_mcvs
 
 __all__ = [
@@ -148,52 +148,92 @@ def corpus_entries(spec: CorpusSpec) -> list[CorpusEntry]:
     return [_corpus_entry(spec, i, seed) for i, seed in enumerate(_graph_seeds(spec))]
 
 
-def _edge_label_pairs(g: Graph) -> list[tuple[str, str]]:
-    return [(g.node_names[u], g.node_names[v]) for u, v in sorted(g.edges)]
+def _edge_order(g: Graph) -> list[Edge]:
+    """``g``'s edges in an order whose first appearances number the nodes
+    as ``g`` does, so that ``build_graph`` reads the order back as ``g``.
+
+    ``build_graph`` numbers each node where it first appears, so in a graph
+    it made, each node ``k > 0`` has a lower-numbered neighbour or came in
+    on one line with ``k + 1``. The order brings the nodes in by index,
+    each with its lowest such neighbour, and then lists the other edges
+    sorted.
+    """
+    adj = g.adjacency_masks
+    order: list[Edge] = []
+    seen = 0
+    for k in range(g.node_count):
+        if (seen >> k) & 1:
+            continue
+        lower = adj[k] & seen
+        if lower:
+            order.append(((lower & -lower).bit_length() - 1, k))
+            seen |= 1 << k
+        else:
+            order.append((k, k + 1))
+            seen |= 3 << k
+    return order + sorted(g.edges.difference(order))
+
+
+def _builds(adj: list[int], terminals: int) -> bool:
+    """Would the edges of ``adj`` build a graph: one that keeps the nodes
+    of ``terminals`` and is connected? A node left with no edge is gone."""
+    alive = 0
+    for neighbours in adj:
+        alive |= neighbours
+    return alive & terminals == terminals and _connected_mask(adj, alive)
+
+
+def _deletions(g: Graph) -> Iterator[list[Edge]]:
+    """The edges, in :func:`_edge_order`, of each candidate
+    :func:`shrink_counterexample` tries on ``g``, in the order it tries
+    them."""
+    order = _edge_order(g)
+    adj = list(g.adjacency_masks)
+    terminals = (1 << g.source) | (1 << g.sink)
+    for v in range(g.node_count):
+        if (terminals >> v) & 1 or adj[v].bit_count() < 2:
+            continue
+        keep = ~(1 << v)
+        rest = [neighbours & keep for neighbours in adj]
+        rest[v] = 0
+        if _builds(rest, terminals):
+            yield [e for e in order if v not in e]
+    for i, (u, v) in enumerate(order):
+        rest = adj.copy()
+        rest[u] ^= 1 << v
+        rest[v] ^= 1 << u
+        if _builds(rest, terminals):
+            yield order[:i] + order[i + 1:]
 
 
 def shrink_counterexample(g: Graph, check: Callable[[Graph], bool]) -> Graph:
     """Greedily reduce ``g`` while ``check`` keeps failing on the result.
 
-    Tries single edge deletions first, then single node deletions (never
-    the source or sink), restarting after every success; a candidate that
-    no longer builds into a valid connected graph is skipped. The returned
-    graph is locally minimal: no single deletion preserves the discrepancy.
-    Deterministic for a given input.
+    Coarse deletions go first, as in delta debugging: each round tries
+    deleting each node but the source and sink, by index, and then each
+    single edge, and restarts after the first deletion ``check`` accepts.
+    A node of degree 1 is not tried, as deleting it leaves what deleting
+    its one edge leaves, and a candidate that would lose the source or sink
+    or fall apart is skipped unbuilt. Candidates are built from the current
+    graph's edges in :func:`_edge_order`, in which a written artifact reads
+    back with the same node numbers. The returned graph is locally minimal:
+    no single node or edge deletion preserves the discrepancy.
+    Deterministic; raises ``ValueError`` when ``check(g)`` is false.
     """
     if not check(g):
         raise ValueError("graph does not exhibit the discrepancy being shrunk")
 
     source, sink = g.node_names[g.source], g.node_names[g.sink]
-
-    def rebuild(pairs: list[tuple[str, str]]) -> Graph | None:
-        if not pairs:
-            return None
-        try:
-            return build_graph(pairs, source, sink)
-        except GraphError:
-            return None
-
     current = g
     while True:
-        pairs = _edge_label_pairs(current)
-        for drop in range(len(pairs)):
-            candidate = rebuild(pairs[:drop] + pairs[drop + 1:])
-            if candidate is not None and check(candidate):
+        names = current.node_names
+        for kept in _deletions(current):
+            candidate = build_graph([(names[u], names[v]) for u, v in kept], source, sink)
+            if check(candidate):
                 current = candidate
                 break
         else:
-            for v, name in enumerate(current.node_names):
-                # A node of degree 1 leaves the list its one edge's deletion
-                # left, which this pass has already rejected.
-                if name in (source, sink) or current.adjacency_masks[v].bit_count() == 1:
-                    continue
-                candidate = rebuild([p for p in pairs if name not in p])
-                if candidate is not None and check(candidate):
-                    current = candidate
-                    break
-            else:
-                return current
+            return current
 
 
 @dataclass(frozen=True)
@@ -219,11 +259,15 @@ def run_corpus(
     ``spec`` and compared to the brute-force oracle as a set. One line per
     graph goes to ``out``: index, seed, node and edge counts,
     agree/mismatch, and, when a mismatch was shrunk to an artifact, the
-    file it was written to (requires ``out_dir``). Artifacts are edge-list
-    files replayable with the same policy and order that exposed the
-    disagreement. An unusable ``out_dir`` raises ``ValueError`` before any
-    graph runs, and an artifact that cannot be written raises it when its
-    graph does.
+    file it was written to (requires ``out_dir``). An artifact is an edge
+    list that reads back as the shrunk graph, under a header that names the
+    policy and, as ``--order`` takes it, the order that exposed the
+    disagreement. The shrinker checks its candidates unpruned, so the
+    artifact replays only without pruning: ``mincuts run FILE --no-prune
+    --compare-oracle --b-policy P --order O`` exits 2, where the default
+    pruning may make it agree. An unusable ``out_dir`` raises
+    ``ValueError`` before any graph runs, and an artifact that cannot be
+    written raises it when its graph does.
 
     The graphs run in forked workers, one per usable CPU, and in this
     process where there is one CPU, no ``os.fork`` or a second thread; each
@@ -297,7 +341,7 @@ def _check_graph(
         f" order={type(failing.selection_order).__name__}"
     )
     if out_path is not None:
-        shrunk = shrink_counterexample(g, _disagreement_check(failing))
+        shrunk = shrink_counterexample(g, _disagreement_check(failing, g))
         artifact = out_path / f"counterexample-{entry.index:04d}.edges"
         try:
             artifact.write_text(_artifact_text(shrunk, failing))
@@ -436,8 +480,16 @@ def _in_workers(
             yield _receive(*children[i % workers])
 
 
-def _disagreement_check(opts: EnumerationOptions) -> Callable[[Graph], bool]:
+def _disagreement_check(
+    opts: EnumerationOptions, failing: Graph
+) -> Callable[[Graph], bool]:
+    """Does a graph's enumeration under ``opts`` disagree with the oracle?
+    ``failing``, which the caller has just seen disagree, is answered
+    without running either again."""
+
     def check(g: Graph) -> bool:
+        if g is failing:
+            return True
         got = frozenset(enumerate_mcvs(g, opts).mcvs)
         return got != brute_force_mcvs(g)
 
@@ -445,9 +497,14 @@ def _disagreement_check(opts: EnumerationOptions) -> Callable[[Graph], bool]:
 
 
 def _artifact_text(g: Graph, opts: EnumerationOptions) -> str:
+    """The shrunk graph as an edge list that reads back as ``g``, under a
+    header that names the policy, and the order as ``--order`` takes it."""
+    order = opts.selection_order
+    spelled = f"random:{order.seed}" if isinstance(order, RandomOrder) else "ascending"
+    names = g.node_names
     header = (
         f"# minimized counterexample: enumeration (b_policy={opts.b_policy}, "
-        f"order={opts.selection_order!r}) disagrees with the oracle\n"
-        f"# source={g.node_names[g.source]} sink={g.node_names[g.sink]}\n"
+        f"order={spelled}) disagrees with the oracle\n"
+        f"# source={names[g.source]} sink={names[g.sink]}\n"
     )
-    return header + "".join(f"{a} {b}\n" for a, b in _edge_label_pairs(g))
+    return header + "".join(f"{names[u]} {names[v]}\n" for u, v in _edge_order(g))

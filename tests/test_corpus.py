@@ -14,17 +14,25 @@ import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mincuts.corpus
 from mincuts import build_graph, prune_irrelevant
-from mincuts.cli import main, parse_edge_list
+from mincuts.cli import RunConfig, main, parse_edge_list, run
 from mincuts.corpus import (
     CorpusSpec,
     corpus_entries,
     run_corpus,
     shrink_counterexample,
 )
-from mincuts.enumeration import EnumerationOptions, RandomOrder, enumerate_mcvs
+from mincuts.enumeration import (
+    AscendingOrder,
+    EnumerationOptions,
+    RandomOrder,
+    enumerate_mcvs,
+)
+from mincuts.graph import GraphError
 from mincuts.oracle import brute_force_mcvs
 
 from .conftest import (
@@ -34,6 +42,7 @@ from .conftest import (
     _assert_no_child_left,
     _leaves_nothing,
     reachable_labels,
+    sparse_graphs,
 )
 
 
@@ -150,6 +159,156 @@ class TestShrinker:
         second = shrink_counterexample(g, check)
         assert first.edges == second.edges
         assert first.node_names == second.node_names
+
+    @pytest.mark.parametrize(
+        "edges",
+        [FIG1_EDGES, K23_EDGES, APPENDAGE_EDGES + [("a", "c"), ("b", "d"), ("c", "t")]],
+        ids=["fig1", "k23", "padded-appendage"],
+    )
+    def test_first_candidate_drops_a_whole_node(self, edges):
+        # Before: every single-edge deletion was tried before any node.
+        g = build_graph(edges, "s", "t")
+        seen = []
+
+        def only_the_input(candidate):
+            seen.append(candidate)
+            return candidate is g
+
+        assert shrink_counterexample(g, only_the_input) is g
+        first = seen[1]
+        # The lowest-numbered node but s and t, of degree 2 or more, whose
+        # deletion leaves a connected graph.
+        for v, name in enumerate(g.node_names):
+            if name in ("s", "t") or g.adjacency_masks[v].bit_count() < 2:
+                continue
+            try:
+                build_graph([p for p in edges if name not in p], "s", "t")
+            except GraphError:
+                continue
+            break
+        assert set(first.node_names) == set(g.node_names) - {name}
+        assert first.edge_count == g.edge_count - g.adjacency_masks[v].bit_count()
+
+    def test_split_candidates_are_not_built(self, monkeypatch):
+        # On a path every deletion splits the graph or loses a terminal, so
+        # no candidate is built; before, each was built and refused with a
+        # GraphError.
+        path = build_graph([("s", "a"), ("a", "b"), ("b", "t")], "s", "t")
+        built = []
+        build = mincuts.corpus.build_graph
+        monkeypatch.setattr(
+            mincuts.corpus, "build_graph", lambda *args: built.append(args) or build(*args)
+        )
+        assert shrink_counterexample(path, lambda c: c is path) is path
+        assert built == []
+
+
+class TestArtifacts:
+    """Every artifact of a 200-graph seed-42 corpus, against the graph the
+    shrinker returned for it."""
+
+    HEADER = re.compile(r"\(b_policy=(\w+), order=(\S+)\) disagrees with the oracle$")
+
+    @pytest.fixture(scope="class")
+    def shrunk(self, tmp_path_factory):
+        """(artifact path, shrunk graph) of each mismatch, in graph order."""
+        out_dir = tmp_path_factory.mktemp("cex")
+        graphs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mincuts.corpus, "_usable_cpus", lambda: 1)
+            shrink = mincuts.corpus.shrink_counterexample
+            mp.setattr(
+                mincuts.corpus,
+                "shrink_counterexample",
+                lambda *args: graphs.append(shrink(*args)) or graphs[-1],
+            )
+            result = run_corpus(CorpusSpec(graph_count=200, seed=42), out_dir=out_dir)
+        paths = sorted(out_dir.iterdir())
+        assert len(paths) == len(graphs) == result.mismatches > 0
+        return list(zip(paths, graphs))
+
+    def _options(self, path):
+        first_line = path.read_text().splitlines()[0]
+        assert first_line.startswith("# minimized counterexample")
+        policy, order = self.HEADER.search(first_line).groups()
+        return policy, order
+
+    def test_artifacts_read_back_as_the_shrunk_graph(self, shrunk):
+        # Before: edges were written in sorted index order, and a re-read
+        # could number the nodes differently from the graph checked.
+        for path, graph in shrunk:
+            again = build_graph(parse_edge_list(path.read_text()), "s", "t")
+            assert again.node_names == graph.node_names, path.name
+            assert again.edges == graph.edges, path.name
+
+    def test_artifacts_replay_unpruned(self, shrunk):
+        # The header spells the order as --order takes it.
+        for path, _ in shrunk:
+            policy, order = self._options(path)
+            config = RunConfig(
+                str(path), b_policy=policy, order=order, prune=False, compare_oracle=True
+            )
+            assert run(config, out=io.StringIO(), err=io.StringIO()) == 2, path.name
+
+    def test_artifacts_are_locally_minimal(self, shrunk):
+        for path, graph in shrunk:
+            policy, order = self._options(path)
+            selection = (
+                AscendingOrder()
+                if order == "ascending"
+                else RandomOrder(int(order.removeprefix("random:")))
+            )
+            opts = EnumerationOptions(selection_order=selection, b_policy=policy)
+            pairs = parse_edge_list(path.read_text())
+            deletions = [pairs[:i] + pairs[i + 1:] for i in range(len(pairs))] + [
+                [p for p in pairs if name not in p] for name in graph.node_names
+            ]
+            for kept in deletions:
+                try:
+                    candidate = build_graph(kept, "s", "t")
+                except GraphError:
+                    continue
+                found = frozenset(enumerate_mcvs(candidate, opts).mcvs)
+                assert found == brute_force_mcvs(candidate), (path.name, kept)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_graphs(), st.randoms(use_true_random=False))
+    def test_any_built_graph_reads_back(self, g, rng):
+        # The artifact's edge order exists for every graph build_graph made,
+        # whatever order and orientation its edges came in.
+        names = g.node_names
+        pairs = [(names[u], names[v])[:: rng.choice((1, -1))] for u, v in g.edges]
+        rng.shuffle(pairs)
+        built = build_graph(pairs, names[g.source], names[g.sink])
+        text = mincuts.corpus._artifact_text(built, EnumerationOptions())
+        again = build_graph(parse_edge_list(text), names[g.source], names[g.sink])
+        assert again.node_names == built.node_names
+        assert again.edges == built.edges
+
+
+# Shrinker checks the seed-42 corpus makes with an out-dir: one per
+# candidate tried, plus one per mismatch for the shrinker's precondition,
+# which the check answers without a run. The edge-first order made 4,217.
+SEED42_SHRINK_CHECKS = 2344
+
+
+def test_seed42_shrink_check_count(monkeypatch, tmp_path):
+    monkeypatch.setattr(mincuts.corpus, "_usable_cpus", lambda: 1)
+    calls, scans = [], []
+    disagreement = mincuts.corpus._disagreement_check
+    scan = mincuts.corpus.brute_force_mcvs
+
+    def counted(*args):
+        check = disagreement(*args)
+        return lambda g: calls.append(g) or check(g)
+
+    monkeypatch.setattr(mincuts.corpus, "_disagreement_check", counted)
+    monkeypatch.setattr(mincuts.corpus, "brute_force_mcvs", lambda g: scans.append(g) or scan(g))
+    result = run_corpus(CorpusSpec(seed=42), out_dir=tmp_path)
+    assert result.mismatches == 245
+    assert len(calls) == SEED42_SHRINK_CHECKS
+    # Each graph is scanned once, and each check but the precondition once.
+    assert len(scans) == result.graphs + len(calls) - result.mismatches
 
 
 class TestRunner:
